@@ -7,6 +7,8 @@ here or with a property the method guarantees.  A check returns
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 import mimosense.features as features
@@ -170,6 +172,55 @@ def check_accuracy(manifest, accuracy: float, sweep) -> tuple[str, bool, str]:
         "full_array_above_chance",
         accuracy >= MIN_FULL_ACCURACY,
         f"M={full}: {accuracy:.4f} (need >= {MIN_FULL_ACCURACY})",
+    )
+
+
+def expected_counts(manifest) -> dict[str, int]:
+    """Work counts of one traced round, worked out from the manifest:
+    windows featurized, CP fits, training runs and Adam steps."""
+    k = manifest.windows_per_record
+    per_activity = [n for _, n in manifest.record_counts()]
+    windows = sum(per_activity) * k
+    extract = windows * (1 + len(manifest.antenna_sweep))
+    epochs, batch = manifest.train.epochs, manifest.train.batch_size
+    # Train-eval and each sweep value train on the same split.
+    trainings = 1 + len(manifest.antenna_sweep)
+    n_train = math.ceil(manifest.train.split_fraction * windows)
+    steps = trainings * epochs * math.ceil(n_train / batch)
+    # The control trains once per activity, on all but its held-out records.
+    for n in per_activity:
+        train_records = min(n - 1, math.ceil(0.8 * n))
+        steps += epochs * math.ceil(train_records * k / batch)
+    return {
+        "features.extract_calls": extract,
+        "cp.calls": features.N_FEATURE_VECTORS * extract,
+        "nn.train_calls": trainings + len(per_activity),
+        "nn.steps": steps,
+    }
+
+
+def check_trace_counts(manifest, rounds) -> tuple[str, bool, str]:
+    """Every traced round's counts against ``expected_counts``, and its
+    ALS sweeps against the stopping rule: a fit that did not converge
+    ran exactly ``max_iters`` sweeps, one that did ran at most that."""
+    want = expected_counts(manifest)
+    max_iters = manifest.als.max_iters
+    bad = []
+    for i, (metrics, counters) in enumerate(rounds):
+        got = {name: metrics[name] for name in want}
+        if got != want:
+            bad.append(f"round {i}: {got}")
+        calls, converged = metrics["cp.calls"], metrics["cp.converged"]
+        converged_sweeps = counters.get("cp.converged_sweeps", 0.0)
+        if (
+            metrics["cp.sweeps"] - converged_sweeps != max_iters * (calls - converged)
+            or converged_sweeps > max_iters * converged
+        ):
+            bad.append(f"round {i}: {metrics['cp.sweeps']} sweeps, {converged} converged")
+    return (
+        "trace_counts_match_manifest",
+        not bad,
+        "; ".join(bad) or f"{len(rounds)} rounds: {want}, sweeps follow max_iters={max_iters}",
     )
 
 

@@ -51,7 +51,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--no-trace", action="store_true", help="skip the traced runs")
     args = parser.parse_args()
 
     bench = load_benchmark()
@@ -65,7 +64,7 @@ def main() -> int:
             runs[w].append(result)
             shown = {k: round(v["value"], 3) for k, v in result["metrics"].items()}
             print(f"{w} seed {seed}: correct={result['correct']} {shown}", flush=True)
-    traced = {} if args.no_trace else {w: run_once(w, args.seeds[0], seconds, 1) for w in workloads}
+    traced = {w: run_once(w, args.seeds[0], seconds, 1) for w in workloads}
 
     summary = {}
     for w in workloads:
@@ -74,7 +73,7 @@ def main() -> int:
             name = metric["name"]
             s = summarize([r["metrics"][name]["value"] for r in runs[w]])
             summary[w][name] = s
-            flag = "" if name == "setup_s" or s["spread"] < metric["bound"] / 3 else "  <-- above bound/3"
+            flag = "" if s["spread"] < metric["bound"] / 3 else "  <-- above bound/3"
             print(f"{w:13s} {name:13s} median {s['median']:10.4f}  q1 {s['q1']:10.4f}  "
                   f"q3 {s['q3']:10.4f}  spread {s['spread']:.4f} (bound {metric['bound']}){flag}")
     record = {

@@ -118,8 +118,9 @@ def timed_round(stages: dict, manifest, repeats: dict) -> tuple[dict, dict]:
     return sample, results
 
 
-def traced_round(tracer, stages: dict, manifest, work: Path, simulate_s: float) -> tuple[dict, dict]:
-    """One traced round: each stage called once inside its own span."""
+def traced_round(tracer, stages: dict, manifest, work: Path, simulate_s: float) -> tuple[dict, dict, dict]:
+    """One traced round: each stage called once inside its own span.
+    Returns the round's per-layer metrics, results and hook counters."""
     from spans import layer_metrics
 
     first, before, files = len(tracer.start), dict(tracer.counters), file_state(work)
@@ -128,7 +129,8 @@ def traced_round(tracer, stages: dict, manifest, work: Path, simulate_s: float) 
         with tracer.span(f"pipeline.{stage}"):
             results[stage] = [fn(manifest)]
     counters = {k: v - before.get(k, 0.0) for k, v in tracer.counters.items()}
-    return layer_metrics(tracer.totals(first), counters, simulate_s, written_since(files, work)), results
+    sample = layer_metrics(tracer.totals(first), counters, simulate_s, written_since(files, work))
+    return sample, results, counters
 
 
 def main() -> int:
@@ -147,7 +149,7 @@ def main() -> int:
     # Imported only now: the thread count must be fixed before numpy loads.
     sys.path.insert(0, str(ROOT / "src"))
     sys.path.insert(0, str(HERE))
-    from checks import run_checks
+    from checks import check_trace_counts, run_checks
     from mimosense.features import load_features_bin
     from mimosense.manifest import manifest_from_dict
     from mimosense.pipeline import (
@@ -158,7 +160,7 @@ def main() -> int:
         run_sweep,
         run_train_eval,
     )
-    from spans import COUNTS, PER_LAYER, STAGES, Tracer, instrument
+    from spans import PER_LAYER, STAGES, Tracer, instrument
     from workloads import WORKLOADS, manifest_dict
 
     if args.workload not in WORKLOADS:
@@ -188,13 +190,15 @@ def main() -> int:
 
     stages = dict(zip(STAGES, (run_featurize, run_train_eval, run_sweep, run_control)))
     rounds: list[dict] = []
+    round_counters: list[dict] = []
     outputs = {stage: [] for stage in STAGES}
     t_start = time.perf_counter()
     while not rounds or time.perf_counter() - t_start < args.seconds:
         if tracer is None:
             sample, results = timed_round(stages, manifest, repeats)
         else:
-            sample, results = traced_round(tracer, stages, manifest, work, simulate_s)
+            sample, results, counters = traced_round(tracer, stages, manifest, work, simulate_s)
+            round_counters.append(counters)
         rounds.append(sample)
         for stage, calls in results.items():
             outputs[stage] += calls
@@ -206,26 +210,20 @@ def main() -> int:
     feats = load_features_bin(features_dir(manifest) / "features.bin")
     te_last = outputs["train_eval"][-1]
     checks = run_checks(manifest, args.seed, feats, te_last, outputs["sweep"][-1])
-    # Reruns on identical inputs must give identical results.
     te_acc = [float(r["accuracy"]) for r in outputs["train_eval"]]
     ctl_acc = [r["accuracies"] for r in outputs["control"]]
-    checks.append(
-        (
-            "reruns_identical",
-            all(a == te_acc[0] for a in te_acc)
-            and all(s == outputs["sweep"][0] for s in outputs["sweep"])
-            and all(c == ctl_acc[0] for c in ctl_acc),
-            f"{len(te_acc)} train-evals, {len(outputs['sweep'])} sweeps, {len(ctl_acc)} controls",
-        )
-    )
-    if tracer is not None:
+    if tracer is None:
+        # The repeats of train-eval and control run on identical inputs
+        # and must give identical results.
         checks.append(
             (
-                "trace_counts_repeat",
-                all(r[c] == rounds[0][c] for r in rounds for c in COUNTS),
-                f"work counts equal over {len(rounds)} rounds",
+                "repeats_identical",
+                all(a == te_acc[0] for a in te_acc) and all(c == ctl_acc[0] for c in ctl_acc),
+                f"{len(te_acc)} train-evals, {len(ctl_acc)} controls",
             )
         )
+    else:
+        checks.append(check_trace_counts(manifest, list(zip(rounds, round_counters))))
 
     if tracer is None:
         values = {k: statistics.median(r[k] for r in rounds) for k in rounds[0]}

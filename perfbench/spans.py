@@ -61,15 +61,11 @@ PER_LAYER = {
     "nn.grad_s": ("s", "lower"),
     "nn.adam_s": ("s", "lower"),
     "nn.evaluate_s": ("s", "lower"),
-    **{f"pipeline.{s}.s": ("s", "lower") for s in STAGES},
     **{f"pipeline.{s}.self_s": ("s", "lower") for s in STAGES},
     "pipeline.files_written": ("count", "lower"),
     "pipeline.written_mb": ("MB", "lower"),
     "trace.pipeline_s": ("s", "lower"),
 }
-
-# Metrics that count work: they must repeat exactly from round to round.
-COUNTS = tuple(n for n, (unit, _) in PER_LAYER.items() if unit in ("count", "GFLOP"))
 
 _MB = 1e6
 
@@ -195,6 +191,8 @@ def instrument(tracer: Tracer) -> None:
         n, r, sweeps = np.size(tensor), cfg.rank, model.diagnostics.n_sweeps
         add["cp.sweeps"] += sweeps
         add["cp.converged"] += model.diagnostics.converged
+        if model.diagnostics.converged:
+            add["cp.converged_sweeps"] += sweeps
         # Computed, not counted: per sweep three MTTKRPs (2NR flops each)
         # and the residual (2NR for the product, 3N to subtract and norm).
         add["cp.flop"] += sweeps * (8 * n * r + 3 * n)
@@ -278,6 +276,5 @@ def layer_metrics(totals, counters, simulate_s: float, written) -> dict[str, flo
     for family in FAMILIES:
         m[f"cp.{family}.s"] = total(f"cp.{family}")
     for stage in STAGES:
-        m[f"pipeline.{stage}.s"] = total(f"pipeline.{stage}")
         m[f"pipeline.{stage}.self_s"] = totals[f"pipeline.{stage}"][2]
     return m

@@ -25,11 +25,13 @@ WORKLOADS = {
         "repeats": {"train_eval": 16, "control": 4},
     },
     # Small windows in quantity: per-call overhead dominates CP-ALS,
-    # the classifier trains on over a hundred rows, frame-loss
-    # interpolation runs, and the sweep leaves out the full array.
+    # the classifier trains on 170 rows, frame-loss interpolation runs,
+    # and the sweep leaves out the full array.  20 windows per record
+    # (200 in all) keep one run near a minute on a 2-vCPU host, where
+    # 30 per record would take about 85 s.
     "many_windows": {
         "sim": {
-            "t": 320,
+            "t": 400,
             "f": 8,
             "m": 8,
             "snr_db": 20.0,
