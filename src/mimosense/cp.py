@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .tensor_ops import frobenius_norm, khatri_rao, unfold
 
@@ -26,6 +26,16 @@ __all__ = [
     "reconstruct",
     "sorted_weights",
 ]
+
+
+# Below this share of ||X||^2 the sweep recomputes the squared residual
+# densely instead of through the Gram identity.  The identity subtracts
+# terms of size ||X||^2, so its absolute error is a few ulps of ||X||^2
+# and the relative fit f it gives is off by about 1e-16 / f: past
+# f ~ 1e-6 that exceeds the 1e-10 rise a non-increasing fit history may
+# show.  Switching at f = 1e-3 keeps three orders of margin; above it the
+# identity stays within ~1e-12 of the dense residual.
+_DENSE_RESIDUAL_BELOW = 1e-6
 
 
 def rank_upper_bound(dims) -> int:
@@ -103,6 +113,21 @@ def _unit_columns(m: np.ndarray) -> np.ndarray:
     return out / norms
 
 
+def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """``gram⁻¹ @ rhs`` through LAPACK's Cholesky routines, or None when
+    ``gram`` is not positive definite.
+
+    These are the calls ``scipy.linalg.cho_factor``/``cho_solve`` make,
+    without their per-call argument handling, which dominates on the
+    small Gram matrices of an ALS sweep; the results are identical.
+    """
+    c, info = dpotrf(gram, lower=0, clean=0)
+    if info != 0:
+        return None
+    x, info = dpotrs(c, rhs, lower=0)
+    return x if info == 0 else None
+
+
 def _solve_factor(gram: np.ndarray, mttkrp: np.ndarray) -> np.ndarray:
     """Solve ``new @ gram = mttkrp`` for the factor update.
 
@@ -110,21 +135,18 @@ def _solve_factor(gram: np.ndarray, mttkrp: np.ndarray) -> np.ndarray:
     trace before retrying; correlation-derived tensors are routinely
     numerically low-rank.
     """
-    try:
-        c = scipy.linalg.cho_factor(gram, check_finite=False)
-        return scipy.linalg.cho_solve(c, mttkrp.T, check_finite=False).T
-    except scipy.linalg.LinAlgError:
-        pass
+    x = _cholesky_solve(gram, mttkrp.T)
+    if x is not None:
+        return x.T
     tr = float(np.trace(gram))
     if tr <= 0.0:
         # all-dead factors: least-squares target is identically zero
         return np.zeros_like(mttkrp)
     ridged = gram + (1e-10 * tr) * np.eye(gram.shape[0])
-    try:
-        c = scipy.linalg.cho_factor(ridged, check_finite=False)
-        return scipy.linalg.cho_solve(c, mttkrp.T, check_finite=False).T
-    except scipy.linalg.LinAlgError:
-        return np.linalg.lstsq(ridged, mttkrp.T, rcond=None)[0].T
+    x = _cholesky_solve(ridged, mttkrp.T)
+    if x is not None:
+        return x.T
+    return np.linalg.lstsq(ridged, mttkrp.T, rcond=None)[0].T
 
 
 def cp_als(tensor, config: AlsConfig) -> CpModel:
@@ -136,6 +158,22 @@ def cp_als(tensor, config: AlsConfig) -> CpModel:
     are initialized with seeded i.i.d. standard normal columns
     (normalized), so identical (tensor, config) pairs reproduce
     bit-identical models.
+
+    The residual after a sweep comes from the Gram identity (Kolda &
+    Bader, SIAM Review 2009; the fit step of Tensor Toolbox ``cp_als``)
+
+        ||X - [[A, B, C]]||^2 = ||X||^2 - 2<C, X_(3) (B ⊙ A)>
+                                + sum((A^T A * B^T B) * C^T C),
+
+    which reuses the MTTKRP and the Gram matrix of the mode-3 update and
+    so costs O(R^2 (I + J + K)) instead of the O(IJKR) of forming the
+    model densely.  Its rounding error is absolute, a few ulps of
+    ||X||^2, so near an exact fit it would swamp the residual and could
+    make the fit history rise.  Once the identity puts the squared
+    residual at or below ``_DENSE_RESIDUAL_BELOW`` of ||X||^2 (a relative
+    fit of 1e-3), the sweep recomputes it densely.  Either way the fit
+    only decides when to stop; the factors, and so the weights, do not
+    depend on which residual was taken.
     """
     t = np.asarray(tensor, dtype=np.float64)
     if t.ndim != 3:
@@ -172,16 +210,20 @@ def cp_als(tensor, config: AlsConfig) -> CpModel:
     # Unfoldings are reused every sweep; pay the reshuffle cost once.
     unfoldings = [np.ascontiguousarray(unfold(t, n)) for n in (1, 2, 3)]
 
+    norm_sq = norm_t * norm_t
+    # grams[j] is factors[j].T @ factors[j], refreshed whenever factor j
+    # changes, so each sweep builds every Gram matrix once.
+    grams = [f.T @ f for f in factors]
+
     fits: list[float] = []
     prev_fit = None
     converged = False
     n_sweeps = 0
     for _ in range(config.max_iters):
-        kr = None
         for n in range(3):
-            a, b = (factors[j] for j in range(3) if j != n)
-            kr = khatri_rao(b, a)
-            gram = (a.T @ a) * (b.T @ b)
+            i, j = (m for m in range(3) if m != n)
+            kr = khatri_rao(factors[j], factors[i])
+            gram = grams[i] * grams[j]
             mttkrp = unfoldings[n] @ kr
             updated = _solve_factor(gram, mttkrp)
             if n < 2:
@@ -192,11 +234,21 @@ def cp_als(tensor, config: AlsConfig) -> CpModel:
                 norms = np.linalg.norm(updated, axis=0)
                 factors[2] = factors[2] * norms
                 factors[n] = _unit_columns(updated)
+                grams[n] = factors[n].T @ factors[n]
             else:
                 factors[n] = updated
+            grams[2] = factors[2].T @ factors[2]
         n_sweeps += 1
-        # kr currently holds khatri_rao(Y, X); reuse it for the residual.
-        resid = float(np.linalg.norm(unfoldings[2] - factors[2] @ kr.T))
+        # gram, mttkrp and kr are those of the mode-3 update.
+        resid_sq = (
+            norm_sq
+            - 2.0 * float(np.vdot(factors[2], mttkrp))
+            + float(np.vdot(gram, grams[2]))
+        )
+        if resid_sq > _DENSE_RESIDUAL_BELOW * norm_sq:
+            resid = float(np.sqrt(resid_sq))
+        else:
+            resid = float(np.linalg.norm(unfoldings[2] - factors[2] @ kr.T))
         fit = resid / norm_t
         fits.append(fit)
         if prev_fit is not None:
@@ -213,11 +265,7 @@ def cp_als(tensor, config: AlsConfig) -> CpModel:
     # so collapse duplicates onto one component.  The ridge bias keeps
     # duplicates ~1e-6 off perfect alignment, hence the loose threshold;
     # genuinely distinct components sit nowhere near it.
-    cos = (
-        (factors[0].T @ factors[0])
-        * (factors[1].T @ factors[1])
-        * (factors[2].T @ factors[2])
-    )
+    cos = grams[0] * grams[1] * (factors[2].T @ factors[2])
     for i in range(config.rank):
         if scales[i] == 0.0:
             continue

@@ -231,9 +231,14 @@ def grad(model: MlpModel, batch: tuple[np.ndarray, np.ndarray]):
         x, c = x[None, :], c[None, :]
     if x.shape[0] == 0:
         raise ValueError("empty batch")
-    n = x.shape[0]
-    zs, acts = _forward_pass(model, x)
-    delta = (acts[-1] - c) / n
+    return _backward_pass(model, *_forward_pass(model, x), c)
+
+
+def _backward_pass(model: MlpModel, zs, acts, c: np.ndarray):
+    """Mean parameter gradients from a batch's forward pass (``zs``,
+    ``acts`` as :func:`_forward_pass` returns them) and its one-hot
+    labels ``c``."""
+    delta = (acts[-1] - c) / c.shape[0]
     d_ws, d_bs = [], []
     for layer in range(len(model.weights) - 1, -1, -1):
         d_ws.append(acts[layer].T @ delta)
@@ -326,14 +331,15 @@ def train(
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             x, c = ds.inputs[idx], ds.labels[idx]
-            probs = _forward_pass(model, x)[1][-1]
-            batch_loss = _batch_loss(probs, c)
+            zs, acts = _forward_pass(model, x)
+            batch_loss = _batch_loss(acts[-1], c)
             if not np.isfinite(batch_loss):
                 raise NumericError(
                     f"training loss became non-finite at step {state.step}"
                 )
             epoch_loss += batch_loss * len(idx)
-            model, state = adam_step(model, grad(model, (x, c)), state, cfg)
+            grads = _backward_pass(model, zs, acts, c)
+            model, state = adam_step(model, grads, state, cfg)
         history.append(epoch_loss / n)
     return model, history
 
@@ -368,10 +374,12 @@ def early_late_control(
     window with its train-set siblings and vote the record's majority
     label — which is anti-correlated with the held-out window's own
     label, driving a leak-free control far below chance. Held-out
-    records carry no such fingerprint, and each contributes equally many
-    early and late windows, so a model that learned nothing scores 0.5
-    exactly; a drift that repeats across records still transfers, so the
-    control keeps its power.
+    records carry no such fingerprint. Each contributes ceil(k/2) early
+    and floor(k/2) late windows (k = windows_per_record), so a model that
+    learned nothing and predicts one class scores exactly 0.5 for even k,
+    but ceil(k/2)/k or floor(k/2)/k for odd k (8/15 or 7/15 at k = 15); a
+    drift that repeats across records still transfers, so the control
+    keeps its power.
     """
     inputs = np.asarray(inputs, dtype=float)
     window_ids = np.asarray(window_ids)

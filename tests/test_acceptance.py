@@ -497,6 +497,7 @@ def desk(tmp_path_factory):
 # ------------------------------------------------- 7: desk-scale trend
 
 
+@pytest.mark.desk
 def test_07_desk_scale_accuracy_trend(desk):
     """Desk-scale manifest (T=600, F=16, M=32, T_w=100, r_max=10,
     snr_db=20, 12 static + 6 per dynamic activity, sweep {4,8,16,32}):
@@ -524,6 +525,7 @@ def test_07_desk_scale_accuracy_trend(desk):
 # ------------------------------------------------- 8: early/late control
 
 
+@pytest.mark.desk
 def test_08_early_late_control(desk):
     """Per-activity early/late accuracy stays in [0.35, 0.65] (median of
     5 seeds) on the desk-scale LOS M=32 features, and the injected-drift
@@ -546,6 +548,7 @@ def test_08_early_late_control(desk):
 # ---------------------------------------------- 9: complexity regression
 
 
+@pytest.mark.desk
 def test_09_extraction_time_scales_gently_with_antennas(desk):
     """Doubling M from 16 to 32 (T_w=100, F=16) grows the median
     per-window feature-extraction time by at most 2.5x."""

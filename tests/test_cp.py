@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import mimosense.cp as cp
 from mimosense.cp import (
     AlsConfig,
     CpModel,
@@ -147,6 +149,96 @@ def test_mode_permutation_leaves_sorted_weights():
         shuffled = np.take(t, perm, axis=axis)
         got = sorted_weights(cp_als(shuffled, cfg))
         assert_allclose(got, base, rtol=1e-6, atol=1e-8)
+
+
+# ---------------------------------------------- residual and solve
+
+
+def record_updates(monkeypatch):
+    """Record every mode update of cp_als as (X, Y, solution), X and Y
+    being the two fixed factors in mode order.  Every third update is
+    the mode-3 one: it holds (A, B, C) as that sweep leaves them, with
+    the weights carried by C."""
+    updates = []
+    real_kr, real_solve = cp.khatri_rao, cp._solve_factor
+
+    def kr(y, x):
+        updates.append((x.copy(), y.copy()))
+        return real_kr(y, x)
+
+    def solve(gram, mttkrp):
+        new = real_solve(gram, mttkrp)
+        updates[-1] += (new.copy(),)
+        return new
+
+    monkeypatch.setattr(cp, "khatri_rao", kr)
+    monkeypatch.setattr(cp, "_solve_factor", solve)
+    return updates
+
+
+def dense_fit(t, a, b, c):
+    model = np.einsum("ir,jr,kr->ijk", a, b, c)
+    return np.linalg.norm(t - model) / np.linalg.norm(t)
+
+
+@pytest.mark.filterwarnings("ignore:rank .* exceeds the smallest dimension")
+@pytest.mark.parametrize(
+    "dims",
+    [
+        (100, 16, 32),  # window amplitude, (T_w, F, M)
+        (100, 100, 32),  # time correlation, (T_w, T_w, M)
+        (8, 8, 20),  # space correlation per snapshot, (M, M, T_w)
+    ],
+)
+def test_fit_errors_match_dense_residual(monkeypatch, dims):
+    t = np.abs(np.random.default_rng(sum(dims)).standard_normal(dims))
+    updates = record_updates(monkeypatch)
+    model = cp_als(t, AlsConfig(rank=10, max_iters=16, seed=3))
+    fits = model.diagnostics.fit_errors
+    sweeps = updates[2::3]
+    assert len(sweeps) == len(fits) == model.diagnostics.n_sweeps
+    for fit, factors in zip(fits, sweeps):
+        assert abs(fit - dense_fit(t, *factors)) <= 1e-10
+
+
+def test_near_exact_fit_takes_dense_residual(monkeypatch):
+    # A near-exact fit: the Gram identity would lose the residual to
+    # cancellation here, so the recorded fits must come from the dense
+    # residual and still never rise.
+    t, _ = rank3_oracle(seed=9)
+    updates = record_updates(monkeypatch)
+    model = cp_als(t, AlsConfig(rank=3, max_iters=100, rel_tol=1e-12))
+    fits = np.array(model.diagnostics.fit_errors)
+    assert fits[0] > 1e-3 > fits.min()
+    assert np.all(np.diff(fits) <= 1e-10)
+    for fit, factors in zip(fits, updates[2::3]):
+        assert abs(fit - dense_fit(t, *factors)) <= 1e-10
+
+
+def test_solve_factor_equals_scipy_cholesky():
+    rng = np.random.default_rng(14)
+    a, b = rng.standard_normal((30, 6)), rng.standard_normal((25, 6))
+    gram = (a.T @ a) * (b.T @ b)
+    mttkrp = rng.standard_normal((40, 6))
+    want = scipy.linalg.cho_solve(
+        scipy.linalg.cho_factor(gram, check_finite=False),
+        mttkrp.T,
+        check_finite=False,
+    ).T
+    assert np.array_equal(cp._solve_factor(gram, mttkrp), want)
+
+
+def test_solve_factor_singular_gram_takes_ridge():
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((7, 4)), rng.standard_normal((6, 4))
+    # A duplicated component, as over-rank fits produce.
+    a[:, 1], b[:, 1] = a[:, 0], b[:, 0]
+    gram = (a.T @ a) * (b.T @ b)
+    with pytest.raises(scipy.linalg.LinAlgError):
+        scipy.linalg.cho_factor(gram, check_finite=False)
+    got = cp._solve_factor(gram, rng.standard_normal((5, 4)))
+    assert got.shape == (5, 4)
+    assert np.isfinite(got).all()
 
 
 # ------------------------------------------------------- reconstruct

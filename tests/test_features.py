@@ -1,6 +1,8 @@
 """Feature-extraction tests: correlation oracles, normalization rules,
 CP-weight layout, and persistence."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -294,6 +296,43 @@ def test_extract_features_deterministic():
     f1 = extract_features(g, als)
     f2 = extract_features(g, als)
     assert_array_equal(f1.lambdas, f2.lambdas)
+
+
+# sha256 of extract_features(...).lambdas.tobytes() as the plain dense-
+# residual, scipy-Cholesky ALS computed it.  Speed-ups to feature
+# extraction must leave the features bit-identical: the stored feature
+# files, the trained model and every reported accuracy derive from these
+# bytes.  A change that moves a hash changes the features and must say
+# so, not update the hash.  The second window is near rank one, so
+# several slots fit below 1e-3 and take cp_als's dense residual; the
+# first never does.
+@pytest.mark.parametrize(
+    "shape,rank,near_rank_one,digest",
+    [
+        (
+            (12, 6, 5),
+            6,
+            False,
+            "15824241a78a6dac45759e8847e746285bab9812b32c87602e2bb9a4780e2029",
+        ),
+        (
+            (8, 3, 2),
+            4,
+            True,
+            "44a394971f3fe0d74c0a383628a823f71ec6db028b6cb35dfa99bf898aa588f4",
+        ),
+    ],
+    ids=["random", "near_rank_one"],
+)
+def test_extract_features_golden_hash(shape, rank, near_rank_one, digest):
+    rng = np.random.default_rng(2024)
+    if near_rank_one:
+        u, v, w = (random_complex(rng, d) for d in shape)
+        g = np.einsum("i,j,k->ijk", u, v, w) + 0.3 * random_complex(rng, shape)
+    else:
+        g = random_complex(rng, shape)
+    fs = extract_features(g, AlsConfig(rank=rank, max_iters=16, seed=7))
+    assert hashlib.sha256(fs.lambdas.tobytes()).hexdigest() == digest
 
 
 def test_constant_antenna_phase_leaves_correlation_features():

@@ -412,6 +412,25 @@ def test_train_deterministic():
         np.testing.assert_array_equal(a, b)
 
 
+def test_train_steps_equal_grad_then_adam():
+    # train() reuses its loss forward pass for the gradient; the result
+    # must equal the public grad + adam_step loop bit for bit.
+    ds = separable_dataset(seed=4, n=50)
+    cfg = TrainConfig(epochs=3, batch_size=16, seed=5)
+    model, _ = train(ds, cfg)
+    ref = init_model(2, 2, seed=cfg.seed)
+    state = init_state(ref)
+    rng = np.random.default_rng([cfg.seed, 1])
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(ds))
+        for start in range(0, len(ds), cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            batch = (ds.inputs[idx], ds.labels[idx])
+            ref, state = adam_step(ref, grad(ref, batch), state, cfg)
+    for a, b in zip(model.weights + model.biases, ref.weights + ref.biases):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_train_aborts_on_non_finite_loss():
     # A non-finite input propagates inf into the logits and NaN out of
     # the softmax; training must stop with a numeric error, not loop on.
