@@ -79,14 +79,14 @@ def _dispatch(args: argparse.Namespace) -> None:
     elif args.command == "featurize":
         print(run_featurize(manifest, workers=args.workers))
     elif args.command == "train-eval":
-        result = run_train_eval(manifest, workers=args.workers)
+        result = run_train_eval(manifest)
         print(result["report_dir"])
         print(f"accuracy {result['accuracy']:.4f}")
     elif args.command == "sweep-antennas":
         for m, accuracy in run_sweep(manifest, workers=args.workers):
             print(f"M={m} accuracy {accuracy:.4f}")
     elif args.command == "control":
-        result = run_control(manifest, workers=args.workers)
+        result = run_control(manifest)
         print(result["control_dir"])
         print(f"verdict {result['verdict']}")
     else:  # pragma: no cover - argparse enforces the choices

@@ -8,7 +8,6 @@ descending order are the feature primitive of the sensing pipeline.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,12 +185,6 @@ def cp_als(tensor, config: AlsConfig) -> CpModel:
         raise ValueError(
             f"rank {config.rank} exceeds the rank upper bound {bound} "
             f"for dims {dims}"
-        )
-    if config.rank > min(dims):
-        warnings.warn(
-            f"rank {config.rank} exceeds the smallest dimension of {dims}; "
-            "the fit may be underdetermined",
-            stacklevel=2,
         )
 
     rng = np.random.default_rng(config.seed)

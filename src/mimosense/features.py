@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import csv
 import json
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -106,7 +105,6 @@ class FeatureSet:
     lambdas: np.ndarray  # (31, r_max)
     window_id: int
     label: Activity | None
-    degenerate: bool = False
 
     @property
     def r_max(self) -> int:
@@ -251,34 +249,24 @@ def extract_features(
     g = np.asarray(g)
     if g.ndim != 3:
         raise ValueError(f"expected a third-order window, got ndim={g.ndim}")
-    degenerate = not np.any(g)
     lambdas = np.zeros((N_FEATURE_VECTORS, als.rank))
     for slot, tensor in enumerate(real_feature_tensors(g)):
         r_eff = min(als.rank, rank_upper_bound(tensor.shape))
         cfg = replace(als, rank=r_eff, seed=_tensor_seed(als.seed, slot))
-        with warnings.catch_warnings():
-            # Capping at the weak rank bound still allows rank > the
-            # smallest dimension; that is expected here, not a mistake.
-            warnings.filterwarnings(
-                "ignore", message="rank .* exceeds the smallest dimension"
-            )
-            model = cp_als(tensor, cfg)
+        model = cp_als(tensor, cfg)
         if not np.all(np.isfinite(model.diagnostics.fit_errors)):
             raise NumericError(
                 f"CP fit diverged on feature slot {slot} "
                 f"({feature_names()[slot]})"
             )
         lambdas[slot, :r_eff] = sorted_weights(model)
-    return FeatureSet(
-        lambdas=lambdas, window_id=window_id, label=label, degenerate=degenerate
-    )
+    return FeatureSet(lambdas=lambdas, window_id=window_id, label=label)
 
 
-def assemble_input(fs: FeatureSet, drop_largest: bool = True) -> np.ndarray:
+def assemble_input(fs: FeatureSet) -> np.ndarray:
     """Concatenate the 31 weight vectors into one input row, discarding
-    each vector's largest (first) weight when drop_largest is set."""
-    block = fs.lambdas[:, 1:] if drop_largest else fs.lambdas
-    return block.reshape(-1).copy()
+    each vector's largest (first) weight."""
+    return fs.lambdas[:, 1:].reshape(-1).copy()
 
 
 # ------------------------------------------------------------ persistence
@@ -336,14 +324,7 @@ def load_features_csv(path) -> list[FeatureSet]:
             )
         except ValueError as exc:
             raise DataError(f"{path}: unparsable feature row ({exc})") from exc
-        out.append(
-            FeatureSet(
-                lambdas=lambdas,
-                window_id=window_id,
-                label=label,
-                degenerate=not np.any(lambdas),
-            )
-        )
+        out.append(FeatureSet(lambdas=lambdas, window_id=window_id, label=label))
     return out
 
 
@@ -394,13 +375,11 @@ def load_features_bin(path) -> list[FeatureSet]:
     rows = np.frombuffer(raw, dtype="<f8").reshape(n_rows, width)
     out = []
     for row in rows:
-        lambdas = row[2:].reshape(N_FEATURE_VECTORS, r_max).copy()
         out.append(
             FeatureSet(
-                lambdas=lambdas,
+                lambdas=row[2:].reshape(N_FEATURE_VECTORS, r_max).copy(),
                 window_id=int(row[0]),
                 label=_label_from_int(int(row[1])),
-                degenerate=not np.any(lambdas),
             )
         )
     return out

@@ -65,12 +65,15 @@ class TrainConfig:
             raise ValueError("invalid training hyperparameters")
 
 
-@dataclass(frozen=True)
 class MlpModel:
-    """Per-layer weight matrices (fan_in x fan_out) and bias vectors."""
+    """Per-layer weight matrices (fan_in x fan_out) and bias vectors.
 
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
+    All of them are views into one float64 vector ``params`` laid out as
+    :func:`_layout` says; the constructor copies the given arrays in.
+    """
+
+    def __init__(self, weights, biases):
+        self.params, self.weights, self.biases = _pack(weights, biases)
 
     @property
     def layer_dims(self) -> tuple[int, ...]:
@@ -134,13 +137,44 @@ class ConfusionMatrix:
         return self.counts.sum(axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass
 class AdamState:
+    """Step count and the first and second moments, in ``params`` layout."""
+
     step: int
-    m_w: tuple[np.ndarray, ...]
-    v_w: tuple[np.ndarray, ...]
-    m_b: tuple[np.ndarray, ...]
-    v_b: tuple[np.ndarray, ...]
+    m: np.ndarray
+    v: np.ndarray
+
+
+def _layout(params: np.ndarray, dims) -> tuple[tuple, tuple]:
+    """Per-layer (weights, biases) views into the flat ``params`` of a
+    model with layer widths ``dims``: for each layer the weight matrix in
+    row-major order, then the bias.  Checkpoints store this order."""
+    shapes = list(zip(dims[:-1], dims[1:]))
+    expected = sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes)
+    if params.shape != (expected,):
+        raise ValueError(
+            f"parameter vector holds {params.size} values, expected {expected}"
+        )
+    weights, biases = [], []
+    pos = 0
+    for fan_in, fan_out in shapes:
+        weights.append(params[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out))
+        pos += fan_in * fan_out
+        biases.append(params[pos : pos + fan_out])
+        pos += fan_out
+    return tuple(weights), tuple(biases)
+
+
+def _pack(weights, biases):
+    """Copy per-layer arrays into a new flat vector; returns the vector
+    and its :func:`_layout` views."""
+    dims = (weights[0].shape[0],) + tuple(w.shape[1] for w in weights)
+    flat = np.empty(sum(np.size(w) + np.size(b) for w, b in zip(weights, biases)))
+    views = _layout(flat, dims)
+    for view, value in zip(views[0] + views[1], tuple(weights) + tuple(biases)):
+        view[...] = value
+    return (flat,) + views
 
 
 def init_model(n_inputs: int, n_outputs: int, seed: int = 0) -> MlpModel:
@@ -159,11 +193,7 @@ def init_model(n_inputs: int, n_outputs: int, seed: int = 0) -> MlpModel:
 
 def init_state(model: MlpModel) -> AdamState:
     return AdamState(
-        step=0,
-        m_w=tuple(np.zeros_like(w) for w in model.weights),
-        v_w=tuple(np.zeros_like(w) for w in model.weights),
-        m_b=tuple(np.zeros_like(b) for b in model.biases),
-        v_b=tuple(np.zeros_like(b) for b in model.biases),
+        step=0, m=np.zeros_like(model.params), v=np.zeros_like(model.params)
     )
 
 
@@ -251,42 +281,33 @@ def _backward_pass(model: MlpModel, zs, acts, c: np.ndarray):
 def adam_step(
     model: MlpModel, grads, state: AdamState, cfg: TrainConfig
 ) -> tuple[MlpModel, AdamState]:
-    """One bias-corrected Adam update; pure (returns new model/state)."""
-    d_ws, d_bs = grads
-    t = state.step + 1
-    corr1 = 1.0 - cfg.beta1**t
-    corr2 = 1.0 - cfg.beta2**t
-
-    def update(param, g, m, v):
-        m_new = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v_new = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
-        step = cfg.learning_rate * (m_new / corr1) / (
-            np.sqrt(v_new / corr2) + cfg.eps
-        )
-        return param - step, m_new, v_new
-
-    new_w, new_mw, new_vw = [], [], []
-    for w, g, m, v in zip(model.weights, d_ws, state.m_w, state.v_w):
-        p, mn, vn = update(w, g, m, v)
-        new_w.append(p)
-        new_mw.append(mn)
-        new_vw.append(vn)
-    new_b, new_mb, new_vb = [], [], []
-    for b, g, m, v in zip(model.biases, d_bs, state.m_b, state.v_b):
-        p, mn, vn = update(b, g, m, v)
-        new_b.append(p)
-        new_mb.append(mn)
-        new_vb.append(vn)
-    return (
-        MlpModel(weights=tuple(new_w), biases=tuple(new_b)),
-        AdamState(
-            step=t,
-            m_w=tuple(new_mw),
-            v_w=tuple(new_vw),
-            m_b=tuple(new_mb),
-            v_b=tuple(new_vb),
-        ),
-    )
+    """One bias-corrected Adam update of ``model.params`` and the moments
+    in ``state``, in place, from the per-layer ``(d_ws, d_bs)`` that
+    :func:`grad` returns; returns ``(model, state)``."""
+    g = _pack(*grads)[0]
+    state.step += 1
+    corr1 = 1.0 - cfg.beta1**state.step
+    corr2 = 1.0 - cfg.beta2**state.step
+    m, v = state.m, state.v
+    # m ← β1·m + (1−β1)·g and v ← β2·v + (1−β2)·(g·g), then the update
+    # lr·(m/corr1) / (sqrt(v/corr2) + eps), one rounding per operation as
+    # written; g and g2 are reused as scratch, since each vector of this
+    # size that is allocated afresh costs page faults.
+    g2 = g * g
+    g2 *= 1.0 - cfg.beta2
+    v *= cfg.beta2
+    v += g2
+    g *= 1.0 - cfg.beta1
+    m *= cfg.beta1
+    m += g
+    np.divide(m, corr1, out=g)
+    g *= cfg.learning_rate
+    np.divide(v, corr2, out=g2)
+    np.sqrt(g2, out=g2)
+    g2 += cfg.eps
+    g /= g2
+    model.params -= g
+    return model, state
 
 
 def split(
@@ -312,15 +333,10 @@ def split(
     )
 
 
-def train(
-    ds: LabeledDataset, cfg: TrainConfig, n_outputs: int | None = None
-) -> tuple[MlpModel, list[float]]:
+def train(ds: LabeledDataset, cfg: TrainConfig) -> tuple[MlpModel, list[float]]:
     """Minibatch Adam on cross-entropy; returns the final model and the
     per-epoch mean training loss."""
-    v = n_outputs if n_outputs is not None else ds.labels.shape[1]
-    if ds.labels.shape[1] != v:
-        raise ValueError("label width disagrees with requested output size")
-    model = init_model(ds.inputs.shape[1], v, seed=cfg.seed)
+    model = init_model(ds.inputs.shape[1], ds.labels.shape[1], seed=cfg.seed)
     state = init_state(model)
     rng = np.random.default_rng([cfg.seed, 1])
     history: list[float] = []
@@ -338,8 +354,7 @@ def train(
                     f"training loss became non-finite at step {state.step}"
                 )
             epoch_loss += batch_loss * len(idx)
-            grads = _backward_pass(model, zs, acts, c)
-            model, state = adam_step(model, grads, state, cfg)
+            adam_step(model, _backward_pass(model, zs, acts, c), state, cfg)
         history.append(epoch_loss / n)
     return model, history
 
@@ -425,17 +440,13 @@ _CKPT_MAGIC = b"MMNN"
 
 def save_model(path, model: MlpModel, train_cfg: TrainConfig | None = None) -> None:
     """JSON header (architecture + training config) followed by the raw
-    little-endian float64 parameter blob, weights then bias per layer."""
+    little-endian float64 ``params`` vector."""
     header = {
         "layer_dims": list(model.layer_dims),
         "activations": list(model.activations),
         "train_config": None if train_cfg is None else vars(train_cfg),
     }
-    blob = b"".join(
-        np.ascontiguousarray(p, dtype="<f8").tobytes()
-        for w, b in zip(model.weights, model.biases)
-        for p in (w, b)
-    )
+    blob = np.ascontiguousarray(model.params, dtype="<f8").tobytes()
     head = json.dumps(header).encode()
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
@@ -458,20 +469,8 @@ def load_model(path) -> tuple[MlpModel, dict]:
     except (ValueError, KeyError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: corrupt checkpoint header ({exc})") from exc
     blob = np.frombuffer(raw[8 + head_len :], dtype="<f8")
-    expected = sum(
-        dims[i] * dims[i + 1] + dims[i + 1] for i in range(len(dims) - 1)
-    )
-    if blob.shape[0] != expected:
-        raise DataError(
-            f"{path}: parameter blob holds {blob.shape[0]} values, "
-            f"expected {expected}"
-        )
-    weights, biases = [], []
-    pos = 0
-    for i in range(len(dims) - 1):
-        n_w = dims[i] * dims[i + 1]
-        weights.append(blob[pos : pos + n_w].reshape(dims[i], dims[i + 1]).copy())
-        pos += n_w
-        biases.append(blob[pos : pos + dims[i + 1]].copy())
-        pos += dims[i + 1]
-    return MlpModel(weights=tuple(weights), biases=tuple(biases)), header
+    try:
+        model = MlpModel(*_layout(blob, dims))
+    except (ValueError, IndexError) as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    return model, header

@@ -74,12 +74,8 @@ def _digest(payload: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _keys(manifest: ExperimentManifest) -> dict:
-    return canonical_dict(manifest)
-
-
 def dataset_dir(manifest: ExperimentManifest) -> Path:
-    full = _keys(manifest)
+    full = canonical_dict(manifest)
     key = _digest(
         {
             "sim": full["sim"],
@@ -90,7 +86,7 @@ def dataset_dir(manifest: ExperimentManifest) -> Path:
 
 
 def features_dir(manifest: ExperimentManifest) -> Path:
-    full = _keys(manifest)
+    full = canonical_dict(manifest)
     key = _digest(
         {
             "dataset": dataset_dir(manifest).name,
@@ -103,14 +99,13 @@ def features_dir(manifest: ExperimentManifest) -> Path:
 
 
 def report_dir(manifest: ExperimentManifest) -> Path:
-    key = _digest(
-        {"features": features_dir(manifest).name, "train": _keys(manifest)["train"]}
-    )
+    train = canonical_dict(manifest)["train"]
+    key = _digest({"features": features_dir(manifest).name, "train": train})
     return Path(manifest.output_dir) / f"report-{key}"
 
 
 def sweep_dir(manifest: ExperimentManifest) -> Path:
-    full = _keys(manifest)
+    full = canonical_dict(manifest)
     key = _digest(
         {
             "features": features_dir(manifest).name,
@@ -122,9 +117,8 @@ def sweep_dir(manifest: ExperimentManifest) -> Path:
 
 
 def control_dir(manifest: ExperimentManifest) -> Path:
-    key = _digest(
-        {"features": features_dir(manifest).name, "train": _keys(manifest)["train"]}
-    )
+    train = canonical_dict(manifest)["train"]
+    key = _digest({"features": features_dir(manifest).name, "train": train})
     return Path(manifest.output_dir) / f"control-{key}"
 
 
@@ -366,7 +360,7 @@ def _train_eval_features(feature_sets, manifest: ExperimentManifest) -> dict:
     }
 
 
-def run_train_eval(manifest: ExperimentManifest, workers: int = 1) -> dict:
+def run_train_eval(manifest: ExperimentManifest) -> dict:
     source = features_dir(manifest) / "features.bin"
     if not source.exists():
         raise DataError(f"features not found at {source}; run featurize first")
@@ -434,7 +428,7 @@ def run_sweep(manifest: ExperimentManifest, workers: int = 1) -> list[tuple[int,
 # ----------------------------------------------------------------- control
 
 
-def run_control(manifest: ExperimentManifest, workers: int = 1) -> dict:
+def run_control(manifest: ExperimentManifest) -> dict:
     """Early/late leakage check per activity over the feature table."""
     source = features_dir(manifest) / "features.bin"
     if not source.exists():

@@ -24,11 +24,8 @@ class WindowedRecord:
 
     windows: tuple[np.ndarray, ...]
     label: Activity | None
-    k_count: int
 
     def __post_init__(self):
-        if len(self.windows) != self.k_count:
-            raise ValueError("k_count disagrees with the window list")
         shapes = {w.shape for w in self.windows}
         if len(shapes) > 1:
             raise ValueError(f"windows have mixed shapes: {shapes}")
@@ -69,8 +66,7 @@ def segment(tensor: np.ndarray, t_w: int, label: Activity | None = None) -> Wind
     t = tensor.shape[0]
     if not 1 <= t_w <= t:
         raise ValueError(f"window length {t_w} must be in [1, T={t}]")
-    k_count = t // t_w
     windows = tuple(
-        tensor[k * t_w : (k + 1) * t_w].copy() for k in range(k_count)
+        tensor[k * t_w : (k + 1) * t_w].copy() for k in range(t // t_w)
     )
-    return WindowedRecord(windows=windows, label=label, k_count=k_count)
+    return WindowedRecord(windows=windows, label=label)

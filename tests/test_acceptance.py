@@ -349,7 +349,7 @@ def test_06_feature_dimension_and_row_counts(tmp_path):
     rng = np.random.default_rng(606)
     g = rng.standard_normal((4, 3, 2)) + 1j * rng.standard_normal((4, 3, 2))
     fs = extract_features(g, AlsConfig(rank=100, max_iters=2, rel_tol=0.5))
-    width = assemble_input(fs, drop_largest=True).size
+    width = assemble_input(fs).size
 
     man = manifest_from_dict(
         {

@@ -264,7 +264,6 @@ def test_extract_features_shape_and_names():
     fs = extract_features(small_window(), AlsConfig(rank=3, max_iters=10))
     assert fs.lambdas.shape == (31, 3)
     assert len(feature_names()) == 31
-    assert not fs.degenerate
     # every vector descending, nonnegative
     assert np.all(np.diff(fs.lambdas, axis=1) <= 1e-12)
     assert np.all(fs.lambdas >= 0)
@@ -274,7 +273,6 @@ def test_extract_features_zero_window():
     fs = extract_features(
         np.zeros((4, 3, 3), dtype=complex), AlsConfig(rank=2, max_iters=5)
     )
-    assert fs.degenerate
     assert_array_equal(fs.lambdas, np.zeros((31, 2)))
 
 
@@ -414,7 +412,6 @@ def indexed_feature_set(r_max):
 def test_assemble_input_lengths():
     assert assemble_input(indexed_feature_set(100)).shape == (3069,)
     assert assemble_input(indexed_feature_set(10)).shape == (279,)
-    assert assemble_input(indexed_feature_set(100), drop_largest=False).shape == (3100,)
 
 
 def test_assemble_input_drops_leading_weight_per_vector():

@@ -6,6 +6,7 @@ recurrence.  Training behaviour is checked on a linearly separable toy
 problem where near-perfect accuracy is guaranteed.
 """
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -14,7 +15,6 @@ import pytest
 
 from mimosense.errors import DataError, NumericError
 from mimosense.nn import (
-    AdamState,
     HIDDEN_DIMS,
     LabeledDataset,
     MlpModel,
@@ -187,25 +187,6 @@ def test_loss_clamps_tiny_probabilities():
 # ------------------------------------------------------------- gradients
 
 
-def flat_params(model):
-    out = []
-    for w, b in zip(model.weights, model.biases):
-        out.append(w.reshape(-1))
-        out.append(b)
-    return np.concatenate(out)
-
-
-def model_from_flat(template, vec):
-    weights, biases = [], []
-    pos = 0
-    for w, b in zip(template.weights, template.biases):
-        weights.append(vec[pos : pos + w.size].reshape(w.shape).copy())
-        pos += w.size
-        biases.append(vec[pos : pos + b.size].copy())
-        pos += b.size
-    return MlpModel(weights=tuple(weights), biases=tuple(biases))
-
-
 def test_grad_matches_finite_differences_everywhere():
     rng = np.random.default_rng(7)
     model = init_model(7, 3, seed=4)
@@ -215,18 +196,18 @@ def test_grad_matches_finite_differences_everywhere():
     def mean_loss(m):
         return 0.5 * (loss(m, x[0], c[0]) + loss(m, x[1], c[1]))
 
-    analytic = grad(model, (x, c))
-    flat_g = flat_params(
-        MlpModel(weights=analytic[0], biases=analytic[1])
-    )
-    theta = flat_params(model)
+    # The gradient packed into the params layout, so that entry k of both
+    # refers to the same parameter.
+    flat_g = MlpModel(*grad(model, (x, c))).params
+    theta = model.params
     h = 1e-5
     for k in range(theta.size):
-        bumped = theta.copy()
-        bumped[k] += h
-        up = mean_loss(model_from_flat(model, bumped))
-        bumped[k] -= 2 * h
-        down = mean_loss(model_from_flat(model, bumped))
+        orig = theta[k]
+        theta[k] = orig + h
+        up = mean_loss(model)
+        theta[k] = orig - h
+        down = mean_loss(model)
+        theta[k] = orig
         numeric = (up - down) / (2 * h)
         tol = max(1e-6, 1e-4 * abs(flat_g[k]))
         assert abs(numeric - flat_g[k]) <= tol, f"parameter {k}"
@@ -270,10 +251,11 @@ def one_param_model(value):
 def test_adam_first_step_near_learning_rate():
     cfg = TrainConfig()
     model = one_param_model(0.5)
+    state = init_state(model)
     grads = ((np.array([[1.0]]),), (np.array([0.0]),))
-    new, state = adam_step(model, grads, init_state(model), cfg)
+    adam_step(model, grads, state, cfg)
     # Bias correction makes the first step lr * g/(|g| + eps).
-    assert abs(new.weights[0].item() - (0.5 - 0.001)) < 1e-9
+    assert abs(model.weights[0].item() - (0.5 - 0.001)) < 1e-9
     assert state.step == 1
 
 
@@ -290,22 +272,27 @@ def test_adam_matches_hand_recurrence():
         p -= 0.01 * (m / (1 - 0.9**t)) / (
             math.sqrt(v / (1 - 0.999**t)) + 1e-8
         )
-        model, state = adam_step(
+        adam_step(
             model, ((np.array([[g]]),), (np.array([0.0]),)), state, cfg
         )
         assert abs(model.weights[0].item() - p) < 1e-12
     assert state.step == len(grads_seq)
 
 
-def test_adam_is_pure():
+def test_adam_updates_in_place_and_leaves_grads():
     cfg = TrainConfig()
-    model = one_param_model(2.0)
+    model = init_model(3, 2, seed=1)
     state = init_state(model)
-    grads = ((np.array([[1.0]]),), (np.array([1.0]),))
-    adam_step(model, grads, state, cfg)
-    assert model.weights[0].item() == 2.0
-    assert state.step == 0
-    assert state.m_w[0].item() == 0.0
+    weights, params = model.weights, model.params.copy()
+    grads = grad(model, (np.ones((2, 3)), onehot(np.array([0, 1]), 2)))
+    kept = [g.copy() for g in grads[0] + grads[1]]
+    new_model, new_state = adam_step(model, grads, state, cfg)
+    assert new_model is model and new_state is state
+    assert model.weights is weights
+    assert not np.array_equal(model.params, params)
+    assert state.m.shape == state.v.shape == model.params.shape
+    for g, k in zip(grads[0] + grads[1], kept):
+        np.testing.assert_array_equal(g, k)
 
 
 # ----------------------------------------------------------------- split
@@ -553,6 +540,24 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         np.testing.assert_array_equal(a, b)
     for a, b in zip(model.biases, loaded.biases):
         np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(model.params, loaded.params)
+
+
+# The checkpoint bytes of a short training run, recorded before the
+# parameters moved into one flat vector.  They pin the parameter layout
+# and every rounding of the Adam step: a change that moves this hash
+# changes the trained models and must say so, not update the hash.
+def test_train_checkpoint_golden_hash(tmp_path):
+    rng = np.random.default_rng(8)
+    ds = make_dataset(rng, 60, 6, 3)
+    cfg = TrainConfig(epochs=5, batch_size=16, seed=2)
+    model, _ = train(ds, cfg)
+    path = tmp_path / "model.ckpt"
+    save_model(path, model, cfg)
+    assert (
+        hashlib.sha256(path.read_bytes()).hexdigest()
+        == "7c796af0db75e22efa8274d912af14ad0271733ede548cae93415dc59459b207"
+    )
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):

@@ -87,7 +87,6 @@ def test_interpolate_idempotent():
 def test_segment_window_count_full_scale():
     t = np.zeros((3000, 1, 1), dtype=complex)
     rec = segment(t, 200)
-    assert rec.k_count == 15
     assert len(rec.windows) == 15
     assert all(w.shape == (200, 1, 1) for w in rec.windows)
 
@@ -96,7 +95,7 @@ def test_segment_full_length_window():
     rng = np.random.default_rng(4)
     t = random_complex(rng, (8, 2, 2))
     rec = segment(t, 8, label=Activity.ROTATE)
-    assert rec.k_count == 1
+    assert len(rec.windows) == 1
     assert_array_equal(rec.windows[0], t)
     assert rec.label == Activity.ROTATE
 
@@ -104,7 +103,7 @@ def test_segment_full_length_window():
 def test_segment_floor_rule():
     t = np.arange(7, dtype=complex).reshape(7, 1, 1)
     rec = segment(t, 3)
-    assert rec.k_count == 2
+    assert len(rec.windows) == 2
     assert_array_equal(rec.windows[0][:, 0, 0], [0, 1, 2])
     assert_array_equal(rec.windows[1][:, 0, 0], [3, 4, 5])
 
@@ -114,7 +113,7 @@ def test_segment_partition_property():
     t = random_complex(rng, (23, 2, 2))
     rec = segment(t, 5)
     glued = np.concatenate(rec.windows, axis=0)
-    assert_array_equal(glued, t[: rec.k_count * 5])
+    assert_array_equal(glued, t[: len(rec.windows) * 5])
 
 
 def test_segment_rejects_oversized_window():
