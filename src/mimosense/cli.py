@@ -1,8 +1,9 @@
 """Command-line entry point.
 
-Subcommands mirror the pipeline stages; every one takes the same small
-set of flags and reads everything else from the JSON manifest.  Exit
-codes: 0 success, 2 validation error, 3 data error, 4 numeric failure.
+Subcommands mirror the pipeline stages; they share a small set of flags
+(``--workers`` only where record work runs in a process pool) and read
+everything else from the JSON manifest.  Exit codes: 0 success, 2
+validation error, 3 data error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -57,9 +58,10 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="override simulation/CP/training seeds with one value",
         )
-        cmd.add_argument(
-            "--workers", type=int, default=1, help="process-pool size"
-        )
+        if name in ("simulate", "featurize", "sweep-antennas"):
+            cmd.add_argument(
+                "--workers", type=int, default=1, help="process-pool size"
+            )
         cmd.add_argument(
             "--verbose", action="store_true", help="log progress to stderr"
         )
@@ -72,7 +74,7 @@ def _dispatch(args: argparse.Namespace) -> None:
         manifest = dataclasses.replace(manifest, output_dir=args.out)
     if args.seed is not None:
         manifest = reseed(manifest, args.seed)
-    if args.workers < 1:
+    if "workers" in args and args.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
     if args.command == "simulate":
         print(run_simulate(manifest, workers=args.workers))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -85,10 +85,6 @@ class MlpModel:
     def activations(self) -> tuple[str, ...]:
         return ("elu",) * (len(self.weights) - 1) + ("softmax",)
 
-    @property
-    def n_classes(self) -> int:
-        return self.weights[-1].shape[1]
-
 
 @dataclass(frozen=True)
 class LabeledDataset:
@@ -139,11 +135,13 @@ class ConfusionMatrix:
 
 @dataclass
 class AdamState:
-    """Step count and the first and second moments, in ``params`` layout."""
+    """Step count and the first and second moments, in ``params`` layout,
+    with a (2, n_params) work array that :func:`adam_step` computes in."""
 
     step: int
     m: np.ndarray
     v: np.ndarray
+    work: np.ndarray
 
 
 def _layout(params: np.ndarray, dims) -> tuple[tuple, tuple]:
@@ -192,9 +190,8 @@ def init_model(n_inputs: int, n_outputs: int, seed: int = 0) -> MlpModel:
 
 
 def init_state(model: MlpModel) -> AdamState:
-    return AdamState(
-        step=0, m=np.zeros_like(model.params), v=np.zeros_like(model.params)
-    )
+    n = model.params.size
+    return AdamState(step=0, m=np.zeros(n), v=np.zeros(n), work=np.empty((2, n)))
 
 
 def _elu(z: np.ndarray) -> np.ndarray:
@@ -252,61 +249,65 @@ def _batch_loss(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.log(picked).mean())
 
 
-def grad(model: MlpModel, batch: tuple[np.ndarray, np.ndarray]):
-    """Mean parameter gradients over (inputs, one-hot labels) via
-    reverse-mode differentiation; softmax + cross-entropy collapse to
-    (p − c) at the output pre-activation."""
+def grad(model: MlpModel, batch: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Mean gradient over (inputs, one-hot labels) via reverse-mode
+    differentiation, as a new vector in ``model.params`` layout (entry k
+    is the derivative with respect to ``model.params[k]``); softmax +
+    cross-entropy collapse to (p − c) at the output pre-activation."""
     x, c = (np.asarray(a, dtype=float) for a in batch)
     if x.ndim == 1:
         x, c = x[None, :], c[None, :]
     if x.shape[0] == 0:
         raise ValueError("empty batch")
-    return _backward_pass(model, *_forward_pass(model, x), c)
+    return _backward_pass(
+        model, *_forward_pass(model, x), c, np.empty_like(model.params)
+    )
 
 
-def _backward_pass(model: MlpModel, zs, acts, c: np.ndarray):
-    """Mean parameter gradients from a batch's forward pass (``zs``,
+def _backward_pass(model: MlpModel, zs, acts, c: np.ndarray, out: np.ndarray):
+    """Writes the mean gradient of a batch into ``out`` (``params``
+    layout) and returns it, from the batch's forward pass (``zs``,
     ``acts`` as :func:`_forward_pass` returns them) and its one-hot
     labels ``c``."""
+    d_ws, d_bs = _layout(out, model.layer_dims)
     delta = (acts[-1] - c) / c.shape[0]
-    d_ws, d_bs = [], []
     for layer in range(len(model.weights) - 1, -1, -1):
-        d_ws.append(acts[layer].T @ delta)
-        d_bs.append(delta.sum(axis=0))
+        np.matmul(acts[layer].T, delta, out=d_ws[layer])
+        delta.sum(axis=0, out=d_bs[layer])
         if layer > 0:
             delta = (delta @ model.weights[layer].T) * _elu_deriv(zs[layer - 1])
-    return tuple(reversed(d_ws)), tuple(reversed(d_bs))
+    return out
 
 
 def adam_step(
-    model: MlpModel, grads, state: AdamState, cfg: TrainConfig
+    model: MlpModel, g: np.ndarray, state: AdamState, cfg: TrainConfig
 ) -> tuple[MlpModel, AdamState]:
     """One bias-corrected Adam update of ``model.params`` and the moments
-    in ``state``, in place, from the per-layer ``(d_ws, d_bs)`` that
-    :func:`grad` returns; returns ``(model, state)``."""
-    g = _pack(*grads)[0]
+    in ``state``, in place, from the gradient ``g`` in ``params`` layout,
+    which is left unchanged; returns ``(model, state)``."""
     state.step += 1
     corr1 = 1.0 - cfg.beta1**state.step
     corr2 = 1.0 - cfg.beta2**state.step
     m, v = state.m, state.v
+    a, b = state.work
     # m ← β1·m + (1−β1)·g and v ← β2·v + (1−β2)·(g·g), then the update
     # lr·(m/corr1) / (sqrt(v/corr2) + eps), one rounding per operation as
-    # written; g and g2 are reused as scratch, since each vector of this
-    # size that is allocated afresh costs page faults.
-    g2 = g * g
-    g2 *= 1.0 - cfg.beta2
+    # written.  The intermediates go to state.work, since each vector of
+    # this size that is allocated afresh costs page faults.
+    np.multiply(g, g, out=a)
+    a *= 1.0 - cfg.beta2
     v *= cfg.beta2
-    v += g2
-    g *= 1.0 - cfg.beta1
+    v += a
+    np.multiply(g, 1.0 - cfg.beta1, out=a)
     m *= cfg.beta1
-    m += g
-    np.divide(m, corr1, out=g)
-    g *= cfg.learning_rate
-    np.divide(v, corr2, out=g2)
-    np.sqrt(g2, out=g2)
-    g2 += cfg.eps
-    g /= g2
-    model.params -= g
+    m += a
+    np.divide(m, corr1, out=a)
+    a *= cfg.learning_rate
+    np.divide(v, corr2, out=b)
+    np.sqrt(b, out=b)
+    b += cfg.eps
+    a /= b
+    model.params -= a
     return model, state
 
 
@@ -338,6 +339,7 @@ def train(ds: LabeledDataset, cfg: TrainConfig) -> tuple[MlpModel, list[float]]:
     per-epoch mean training loss."""
     model = init_model(ds.inputs.shape[1], ds.labels.shape[1], seed=cfg.seed)
     state = init_state(model)
+    g = np.empty_like(model.params)
     rng = np.random.default_rng([cfg.seed, 1])
     history: list[float] = []
     n = len(ds)
@@ -354,7 +356,7 @@ def train(ds: LabeledDataset, cfg: TrainConfig) -> tuple[MlpModel, list[float]]:
                     f"training loss became non-finite at step {state.step}"
                 )
             epoch_loss += batch_loss * len(idx)
-            adam_step(model, _backward_pass(model, zs, acts, c), state, cfg)
+            adam_step(model, _backward_pass(model, zs, acts, c, g), state, cfg)
         history.append(epoch_loss / n)
     return model, history
 
@@ -418,7 +420,6 @@ def early_late_control(
     late = (window_ids % windows_per_record) >= windows_per_record / 2.0
     labels = np.zeros((len(inputs), 2))
     labels[np.arange(len(inputs)), late.astype(int)] = 1.0
-    control_cfg = replace(cfg, split_fraction=0.8)
     tr = LabeledDataset(
         inputs=inputs[in_train],
         labels=labels[in_train],
@@ -429,7 +430,7 @@ def early_late_control(
         labels=labels[~in_train],
         ids=window_ids[~in_train],
     )
-    model, _ = train(tr, control_cfg)
+    model, _ = train(tr, cfg)
     return evaluate(model, te)[1]
 
 

@@ -11,7 +11,6 @@ never changes the output.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import logging
@@ -22,9 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from .channel import Activity, load_record, simulate_record, save_record, truncate_antennas
-from .cp import AlsConfig
 from .errors import DataError
 from .features import (
+    N_FEATURE_VECTORS,
     FeatureSet,
     assemble_input,
     extract_features,
@@ -258,14 +257,8 @@ def _featurize_dataset(
     files = sorted(source.glob("rec-*.mmt3"))
     if not files:
         raise DataError(f"no record files under {source}")
-    als = AlsConfig(
-        rank=manifest.r_max,
-        max_iters=manifest.als.max_iters,
-        rel_tol=manifest.als.rel_tol,
-        seed=manifest.als.seed,
-    )
     jobs = [
-        (str(path), int(path.stem.split("-")[1]), manifest.t_w, als, m_keep)
+        (str(path), int(path.stem.split("-")[1]), manifest.t_w, manifest.als, m_keep)
         for path in files
     ]
     results = sorted(_pool_map(_featurize_one, jobs, workers), key=lambda r: r[0])
@@ -305,7 +298,7 @@ def run_featurize(manifest: ExperimentManifest, workers: int = 1) -> Path:
             "per_class": per_class,
             "t_w": manifest.t_w,
             "r_max": manifest.r_max,
-            "input_width": 31 * (manifest.r_max - 1),
+            "input_width": N_FEATURE_VECTORS * (manifest.r_max - 1),
         },
     )
     logger.info("featurized %d windows into %s", len(feats), out)

@@ -28,6 +28,7 @@ from mimosense.features import (
 from mimosense.manifest import manifest_from_dict
 from mimosense.nn import (
     MlpModel,
+    _layout,
     early_late_control,
     evaluate,
     grad,
@@ -293,7 +294,7 @@ def test_05_gradient_matches_finite_differences():
     x = rng.standard_normal((2, 7))
     labels = np.zeros((2, 3))
     labels[0, 1] = labels[1, 2] = 1.0
-    d_ws, d_bs = grad(model, (x, labels))
+    d_ws, d_bs = _layout(grad(model, (x, labels)), model.layer_dims)
 
     h = 1e-5
     worst_ratio = 0.0  # |fd - g| / max(1e-6, 1e-4 |g|)

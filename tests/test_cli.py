@@ -83,6 +83,14 @@ def test_bad_workers_is_validation_error(manifest_path, capsys):
     assert "--workers" in capsys.readouterr().err
 
 
+def test_workers_only_on_pooled_stages(manifest_path, capsys):
+    # train-eval and control run no process pool, so argparse rejects it.
+    with pytest.raises(SystemExit) as exc:
+        main(["train-eval", "--manifest", manifest_path, "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
 def test_numeric_failure_exit_code(manifest_path, monkeypatch, capsys):
     import mimosense.cli as cli_mod
 

@@ -8,6 +8,7 @@ problem where near-perfect accuracy is guaranteed.
 
 import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -196,9 +197,8 @@ def test_grad_matches_finite_differences_everywhere():
     def mean_loss(m):
         return 0.5 * (loss(m, x[0], c[0]) + loss(m, x[1], c[1]))
 
-    # The gradient packed into the params layout, so that entry k of both
-    # refers to the same parameter.
-    flat_g = MlpModel(*grad(model, (x, c))).params
+    # grad is in params layout: entry k of both is the same parameter.
+    flat_g = grad(model, (x, c))
     theta = model.params
     h = 1e-5
     for k in range(theta.size):
@@ -218,19 +218,12 @@ def test_grad_is_mean_over_batch():
     model = init_model(5, 3, seed=1)
     x = rng.normal(size=(4, 5))
     c = onehot(np.array([0, 1, 2, 1]), 3)
-    full_w, full_b = grad(model, (x, c))
-    acc_w = [np.zeros_like(w) for w in full_w]
-    acc_b = [np.zeros_like(b) for b in full_b]
+    full = grad(model, (x, c))
+    assert full.shape == model.params.shape
+    acc = np.zeros_like(full)
     for i in range(4):
-        gw, gb = grad(model, (x[i : i + 1], c[i : i + 1]))
-        for a, g in zip(acc_w, gw):
-            a += g / 4.0
-        for a, g in zip(acc_b, gb):
-            a += g / 4.0
-    for a, g in zip(acc_w, full_w):
-        np.testing.assert_allclose(a, g, atol=1e-14)
-    for a, g in zip(acc_b, full_b):
-        np.testing.assert_allclose(a, g, atol=1e-14)
+        acc += grad(model, (x[i : i + 1], c[i : i + 1])) / 4.0
+    np.testing.assert_allclose(acc, full, atol=1e-14)
 
 
 def test_grad_rejects_empty_batch():
@@ -252,8 +245,7 @@ def test_adam_first_step_near_learning_rate():
     cfg = TrainConfig()
     model = one_param_model(0.5)
     state = init_state(model)
-    grads = ((np.array([[1.0]]),), (np.array([0.0]),))
-    adam_step(model, grads, state, cfg)
+    adam_step(model, np.array([1.0, 0.0]), state, cfg)
     # Bias correction makes the first step lr * g/(|g| + eps).
     assert abs(model.weights[0].item() - (0.5 - 0.001)) < 1e-9
     assert state.step == 1
@@ -272,9 +264,7 @@ def test_adam_matches_hand_recurrence():
         p -= 0.01 * (m / (1 - 0.9**t)) / (
             math.sqrt(v / (1 - 0.999**t)) + 1e-8
         )
-        adam_step(
-            model, ((np.array([[g]]),), (np.array([0.0]),)), state, cfg
-        )
+        adam_step(model, np.array([g, 0.0]), state, cfg)
         assert abs(model.weights[0].item() - p) < 1e-12
     assert state.step == len(grads_seq)
 
@@ -284,15 +274,33 @@ def test_adam_updates_in_place_and_leaves_grads():
     model = init_model(3, 2, seed=1)
     state = init_state(model)
     weights, params = model.weights, model.params.copy()
-    grads = grad(model, (np.ones((2, 3)), onehot(np.array([0, 1]), 2)))
-    kept = [g.copy() for g in grads[0] + grads[1]]
-    new_model, new_state = adam_step(model, grads, state, cfg)
+    g = grad(model, (np.ones((2, 3)), onehot(np.array([0, 1]), 2)))
+    kept = g.copy()
+    new_model, new_state = adam_step(model, g, state, cfg)
     assert new_model is model and new_state is state
     assert model.weights is weights
     assert not np.array_equal(model.params, params)
-    assert state.m.shape == state.v.shape == model.params.shape
-    for g, k in zip(grads[0] + grads[1], kept):
-        np.testing.assert_array_equal(g, k)
+    assert state.m.shape == state.v.shape == g.shape == model.params.shape
+    np.testing.assert_array_equal(g, kept)
+
+
+def test_adam_step_allocates_nothing_parameter_sized():
+    # Desk width (279 inputs, 5 classes: 22,277 parameters).  A step that
+    # allocates a parameter-sized vector page-faults it in every time.
+    cfg = TrainConfig()
+    model = init_model(279, 5, seed=0)
+    state = init_state(model)
+    rng = np.random.default_rng(2)
+    g = grad(model, (rng.normal(size=(4, 279)), onehot(np.arange(4), 5)))
+    adam_step(model, g, state, cfg)
+    tracemalloc.start()
+    try:
+        for _ in range(5):
+            adam_step(model, g, state, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < model.params.nbytes
 
 
 # ----------------------------------------------------------------- split
