@@ -114,7 +114,6 @@ class SimConfig:
     f: int
     m: int
     snapshot_interval: float = 0.01
-    carrier_hz: float = 3.7e9
     scenario: str = "LOS"
     snr_db: float = 20.0
     frame_loss_prob: float = 0.0
@@ -418,19 +417,10 @@ def save_record(path, record: SimulatedRecord) -> None:
     """Write the tensor as .mmt3 plus a .json sidecar manifest."""
     path = Path(path)
     save_tensor(path, record.tensor)
-    cfg = record.manifest
     sidecar = {
-        "dims": list(record.tensor.shape),
-        "scenario": cfg.scenario,
+        "sim": dataclasses.asdict(record.manifest),
         "activity": record.label.name,
         "label": int(record.label),
-        "seed": cfg.seed,
-        "snr_db": cfg.snr_db,
-        "frame_loss_prob": cfg.frame_loss_prob,
-        "snapshot_interval": cfg.snapshot_interval,
-        "carrier_hz": cfg.carrier_hz,
-        "n_paths": cfg.n_paths,
-        "rician_k_db": cfg.rician_k_db,
         "lost_runs": _mask_to_runs(record.mask),
     }
     path.with_suffix(".json").write_text(json.dumps(sidecar, indent=1))
@@ -447,29 +437,16 @@ def load_record(path) -> SimulatedRecord:
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: corrupt sidecar manifest ({exc})") from exc
     try:
-        dims = tuple(sidecar["dims"])
-        cfg = SimConfig(
-            t=dims[0],
-            f=dims[1],
-            m=dims[2],
-            snapshot_interval=sidecar["snapshot_interval"],
-            carrier_hz=sidecar["carrier_hz"],
-            scenario=sidecar["scenario"],
-            snr_db=sidecar["snr_db"],
-            frame_loss_prob=sidecar["frame_loss_prob"],
-            seed=sidecar["seed"],
-            n_paths=sidecar["n_paths"],
-            rician_k_db=sidecar["rician_k_db"],
+        cfg = SimConfig(**sidecar["sim"])
+        # SimulatedRecord checks the tensor shape against (t, f, m).
+        return SimulatedRecord(
+            tensor=tensor,
+            mask=_runs_to_mask(sidecar["lost_runs"], cfg.t),
+            label=Activity(sidecar["label"]),
+            manifest=cfg,
         )
-        label = Activity(sidecar["label"])
-        mask = _runs_to_mask(sidecar["lost_runs"], dims[0])
     except (KeyError, ValueError, TypeError) as exc:
         raise DataError(f"{path}: invalid sidecar manifest ({exc})") from exc
-    if tensor.shape != dims:
-        raise DataError(
-            f"{path}: tensor shape {tensor.shape} disagrees with sidecar {dims}"
-        )
-    return SimulatedRecord(tensor=tensor, mask=mask, label=label, manifest=cfg)
 
 
 def truncate_antennas(record: SimulatedRecord, m: int) -> SimulatedRecord:

@@ -14,6 +14,10 @@ the window along one mode:
   slots 21-25   freq x freq correlation per snapshot   (F, F, T_w)
   slots 26-30   space x space correlation per snapshot (M, M, T_w)
 
+In each family the ``amp`` and ``norm_amp`` slots hold the same tensor
+up to rounding (‖|C|‖_F = ‖C‖_F, so |C| / ‖|C|‖ = |C / ‖C‖|); their two
+fits differ only in the ALS seed.
+
 Every real tensor is CP-decomposed and its descending weight vector
 (zero-padded to the requested rank) becomes one feature vector; the
 classifier consumes their concatenation with each vector's largest

@@ -3,7 +3,9 @@
 An :class:`ExperimentManifest` fully determines a pipeline run: the
 simulation scenario, windowing, CP settings, training hyperparameters,
 experiment counts per activity, and the antenna sweep.  Manifests load
-from JSON; unknown keys are rejected so typos fail loudly.  The
+from JSON; each of the ``sim``, ``als`` and ``train`` blocks takes the
+fields of its config dataclass (the ALS rank is ``r_max``), unknown keys
+are rejected so typos fail loudly, and no number is truncated.  The
 canonical-dict form (everything resolved, sorted keys, output location
 excluded) is what the pipeline hashes to name its outputs.
 """
@@ -12,7 +14,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, field
 from pathlib import Path
 
 from .channel import Activity, SimConfig
@@ -40,16 +43,15 @@ DEFAULT_EXPERIMENT_COUNTS = {
     Activity.ROTATE: 18,
 }
 
-_ACTIVITY_ALIASES = {f"A{kind.value + 1}": kind for kind in Activity}
+# Activity names and their A1..A5 aliases, matched case-insensitively.
+_ACTIVITY_NAMES = {**Activity.__members__, **{f"A{k + 1}": k for k in Activity}}
 
 
 def _parse_activity(name: str) -> Activity:
-    key = str(name).upper()
-    if key in Activity.__members__:
-        return Activity[key]
-    if key in _ACTIVITY_ALIASES:
-        return _ACTIVITY_ALIASES[key]
-    raise ValueError(f"unknown activity {name!r}")
+    try:
+        return _ACTIVITY_NAMES[str(name).upper()]
+    except KeyError:
+        raise ValueError(f"unknown activity {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -72,19 +74,15 @@ class ExperimentManifest:
             )
         if self.r_max < 1:
             raise ValueError(f"r_max must be >= 1, got {self.r_max}")
-        if self.als.rank != self.r_max:
-            raise ValueError(
-                f"als.rank ({self.als.rank}) must equal r_max ({self.r_max})"
-            )
         counts = self.experiments_per_activity
         for kind, count in counts.items():
             if not isinstance(kind, Activity):
                 raise ValueError(f"bad activity key {kind!r}")
-            if int(count) < 0:
+            if count < 0:
                 raise ValueError(f"negative experiment count for {kind.name}")
         if sum(counts.values()) < 1:
             raise ValueError("at least one experiment is required")
-        sweep = tuple(int(m) for m in self.antenna_sweep)
+        sweep = self.antenna_sweep
         if not sweep:
             raise ValueError("antenna_sweep must not be empty")
         if any(b <= a for a, b in zip(sweep, sweep[1:])):
@@ -93,7 +91,6 @@ class ExperimentManifest:
             raise ValueError(
                 f"antenna_sweep values must lie in [1, {self.sim.m}]: {sweep}"
             )
-        object.__setattr__(self, "antenna_sweep", sweep)
         if not str(self.output_dir):
             raise ValueError("output_dir must be non-empty")
 
@@ -104,94 +101,65 @@ class ExperimentManifest:
     def record_counts(self) -> list[tuple[Activity, int]]:
         """Counts in activity order, zero-count classes dropped."""
         return [
-            (kind, int(self.experiments_per_activity.get(kind, 0)))
+            (kind, self.experiments_per_activity.get(kind, 0))
             for kind in Activity
-            if int(self.experiments_per_activity.get(kind, 0)) > 0
+            if self.experiments_per_activity.get(kind, 0) > 0
         ]
 
 
-def _take(src: dict, allowed: dict, where: str) -> dict:
-    """Pick known keys with type coercion; reject anything else."""
-    unknown = set(src) - set(allowed)
+def _as(kind: type, value, key: str):
+    """One JSON value as ``kind``.  Booleans are refused, and so is any
+    value an int conversion would change, so nothing is truncated."""
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or isinstance(value, bool) or (kind is int and out != value):
+        raise ValueError(f"{key} must be {kind.__name__}, got {value!r}")
+    return out
+
+
+def _config(cls, raw, block: str, **fixed):
+    """Build config dataclass ``cls`` from a JSON object whose keys are
+    its fields (minus those ``fixed`` by the caller)."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"manifest requires a '{block}' object")
+    fields = [f for f in dataclasses.fields(cls) if f.name not in fixed]
+    unknown = set(raw) - {f.name for f in fields}
     if unknown:
-        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
-    return {k: allowed[k](v) for k, v in src.items()}
+        raise ValueError(f"unknown {block} keys: {sorted(unknown)}")
+    for f in fields:
+        if f.default is MISSING and f.name not in raw:
+            raise ValueError(f"{block}.{f.name} is required")
+    types = typing.get_type_hints(cls)
+    kwargs = {k: _as(types[k], v, f"{block}.{k}") for k, v in raw.items()}
+    return cls(**kwargs, **fixed)
 
 
 def manifest_from_dict(raw: dict) -> ExperimentManifest:
     if not isinstance(raw, dict):
         raise ValueError("manifest must be a JSON object")
     top = dict(raw)
-    sim_raw = top.pop("sim", None)
-    if not isinstance(sim_raw, dict):
-        raise ValueError("manifest requires a 'sim' object")
-    sim_kwargs = _take(
-        sim_raw,
-        {
-            "t": int,
-            "f": int,
-            "m": int,
-            "snapshot_interval": float,
-            "carrier_hz": float,
-            "scenario": str,
-            "snr_db": float,
-            "frame_loss_prob": float,
-            "seed": int,
-            "n_paths": int,
-            "rician_k_db": float,
-        },
-        "sim",
-    )
-    for need in ("t", "f", "m"):
-        if need not in sim_kwargs:
-            raise ValueError(f"sim.{need} is required")
-    sim = SimConfig(**sim_kwargs)
-
-    r_max = int(top.pop("r_max", 100))
-    als_raw = top.pop("als", {})
-    als_kwargs = _take(
-        als_raw,
-        {"rank": int, "max_iters": int, "rel_tol": float, "seed": int},
-        "als",
-    )
-    als_kwargs.setdefault("rank", r_max)
-    als = AlsConfig(**als_kwargs)
-
-    train_raw = top.pop("train", {})
-    train_kwargs = _take(
-        train_raw,
-        {
-            "learning_rate": float,
-            "beta1": float,
-            "beta2": float,
-            "eps": float,
-            "epochs": int,
-            "batch_size": int,
-            "split_fraction": float,
-            "seed": int,
-        },
-        "train",
-    )
-    train = TrainConfig(**train_kwargs)
-
-    counts_raw = top.pop("experiments_per_activity", None)
-    if counts_raw is None:
-        counts = dict(DEFAULT_EXPERIMENT_COUNTS)
-    else:
-        counts = {
-            _parse_activity(k): int(v) for k, v in dict(counts_raw).items()
-        }
-
+    sim = _config(SimConfig, top.pop("sim", None), "sim")
+    r_max = _as(int, top.pop("r_max", 100), "r_max")
     kwargs = {
         "sim": sim,
-        "t_w": int(top.pop("t_w", 200)),
+        "t_w": _as(int, top.pop("t_w", 200), "t_w"),
         "r_max": r_max,
-        "als": als,
-        "train": train,
-        "experiments_per_activity": counts,
+        "als": _config(AlsConfig, top.pop("als", {}), "als", rank=r_max),
+        "train": _config(TrainConfig, top.pop("train", {}), "train"),
     }
+    counts_raw = top.pop("experiments_per_activity", None)
+    if counts_raw is not None:
+        kwargs["experiments_per_activity"] = {
+            _parse_activity(k): _as(int, v, f"experiments_per_activity.{k}")
+            for k, v in dict(counts_raw).items()
+        }
     if "antenna_sweep" in top:
-        kwargs["antenna_sweep"] = tuple(int(m) for m in top.pop("antenna_sweep"))
+        kwargs["antenna_sweep"] = tuple(
+            _as(int, m, f"antenna_sweep[{i}]")
+            for i, m in enumerate(top.pop("antenna_sweep"))
+        )
     if "output_dir" in top:
         kwargs["output_dir"] = str(top.pop("output_dir"))
     if top:
@@ -215,18 +183,14 @@ def load_manifest(path) -> ExperimentManifest:
 def canonical_dict(manifest: ExperimentManifest) -> dict:
     """Fully resolved manifest as plain JSON types, minus the output
     location (outputs are addressed by computation, not destination)."""
-    return {
-        "sim": dataclasses.asdict(manifest.sim),
-        "t_w": manifest.t_w,
-        "r_max": manifest.r_max,
-        "als": dataclasses.asdict(manifest.als),
-        "train": dataclasses.asdict(manifest.train),
-        "experiments_per_activity": {
-            kind.name: int(manifest.experiments_per_activity.get(kind, 0))
-            for kind in Activity
-        },
-        "antenna_sweep": list(manifest.antenna_sweep),
+    full = dataclasses.asdict(manifest)
+    del full["output_dir"]
+    counts = manifest.experiments_per_activity
+    full["experiments_per_activity"] = {
+        kind.name: counts.get(kind, 0) for kind in Activity
     }
+    full["antenna_sweep"] = list(manifest.antenna_sweep)
+    return full
 
 
 def reseed(manifest: ExperimentManifest, seed: int) -> ExperimentManifest:

@@ -340,7 +340,12 @@ def _precision_recall(cm: ConfusionMatrix) -> list[tuple[str, float, float]]:
 
 def _train_eval_features(feature_sets, manifest: ExperimentManifest) -> dict:
     ds = _dataset_from_features(feature_sets)
-    train_part, test_part = split(ds, manifest.train)
+    try:
+        train_part, test_part = split(ds, manifest.train)
+    except ValueError as exc:
+        raise DataError(str(exc)) from None
+    if len(test_part) == 0:
+        raise DataError(f"split of {len(ds)} windows leaves an empty test set")
     model, history = train(train_part, manifest.train)
     cm, accuracy = evaluate(model, test_part)
     return {

@@ -328,9 +328,33 @@ def test_load_record_dim_disagreement(tmp_path):
     path = tmp_path / "rec.mmt3"
     save_record(path, rec)
     sidecar = json.loads((tmp_path / "rec.json").read_text())
-    sidecar["dims"][0] += 1
+    sidecar["sim"]["t"] += 1
     (tmp_path / "rec.json").write_text(json.dumps(sidecar))
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="does not match manifest"):
+        load_record(path)
+
+
+def _old_layout(sidecar):
+    sim = sidecar.pop("sim")
+    sidecar["dims"] = [sim.pop(k) for k in ("t", "f", "m")]
+    sidecar.update(sim, carrier_hz=3.7e9)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda s: s["sim"].update(carrier_hz=3.7e9), _old_layout],
+    ids=["unknown-sim-key", "old-layout"],
+)
+def test_load_record_rejects_foreign_sidecar(tmp_path, edit):
+    import json
+
+    rec = simulate_record(small_cfg(t=10), Activity.STATIC)
+    path = tmp_path / "rec.mmt3"
+    save_record(path, rec)
+    sidecar = json.loads((tmp_path / "rec.json").read_text())
+    edit(sidecar)
+    (tmp_path / "rec.json").write_text(json.dumps(sidecar))
+    with pytest.raises(DataError, match="invalid sidecar"):
         load_record(path)
 
 

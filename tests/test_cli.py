@@ -78,6 +78,30 @@ def test_bad_manifest_is_validation_error(work_dir, capsys):
     assert main(["simulate", "--manifest", str(work_dir / "ghost.json")]) == 2
 
 
+@pytest.mark.parametrize("n_kinds", [5, 4], ids=["empty-test-set", "too-few-rows"])
+def test_degenerate_split_is_data_error(work_dir, capsys, n_kinds):
+    # One window per record: five rows leave the 85/15 split no test
+    # row, and four rows cannot cover the five classes.
+    raw = {
+        "sim": {"t": 20, "f": 3, "m": 4, "seed": 5},
+        "t_w": 20,
+        "r_max": 2,
+        "als": {"max_iters": 3, "rel_tol": 1e-3},
+        "train": {"epochs": 1},
+        "experiments_per_activity": {k.name: 1 for k in list(Activity)[:n_kinds]},
+        "antenna_sweep": [4],
+        "output_dir": str(work_dir / f"degenerate-{n_kinds}"),
+    }
+    path = work_dir / f"degenerate-{n_kinds}.json"
+    path.write_text(json.dumps(raw))
+    for command in ("simulate", "featurize"):
+        assert main([command, "--manifest", str(path)]) == 0
+    capsys.readouterr()
+    for command in ("train-eval", "sweep-antennas"):
+        assert main([command, "--manifest", str(path)]) == 3
+        assert "data error" in capsys.readouterr().err
+
+
 def test_bad_workers_is_validation_error(manifest_path, capsys):
     assert main(["simulate", "--manifest", manifest_path, "--workers", "0"]) == 2
     assert "--workers" in capsys.readouterr().err

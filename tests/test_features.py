@@ -24,6 +24,7 @@ from mimosense.features import (
     load_features_csv,
     normalized_complex,
     phase_reference,
+    real_feature_tensors,
     save_features_bin,
     save_features_csv,
 )
@@ -250,6 +251,21 @@ def test_normalized_complex_matches_scalar_oracle():
                 assert abs(amp[i, j, s] - abs(want)) < 1e-12
                 total += re[i, j, s] ** 2 + im[i, j, s] ** 2
         assert abs(total - 1.0) < 1e-10
+
+
+def test_amp_and_norm_amp_slots_hold_the_same_tensor():
+    # ||abs(C)||_F = ||C||_F, so abs(C) / ||abs(C)|| equals abs(C / ||C||)
+    # in every correlation family; only their ALS seeds differ.
+    rng = np.random.default_rng(10)
+    g = random_complex(rng, (12, 5, 8)) * rng.uniform(0.1, 10.0, (1, 5, 8))
+    tensors = real_feature_tensors(g)
+    names = feature_names()
+    for family in range(6):
+        amp_slot, norm_slot = 1 + 5 * family, 5 + 5 * family
+        assert names[amp_slot].endswith(".amp")
+        assert names[norm_slot].endswith(".norm_amp")
+        diff = np.max(np.abs(tensors[amp_slot] - tensors[norm_slot]))
+        assert diff <= 1e-15, (names[amp_slot], diff)
 
 
 # ------------------------------------------------------ extract_features

@@ -1,5 +1,6 @@
 """Manifest parsing and validation tests."""
 
+import dataclasses
 import json
 
 import pytest
@@ -94,8 +95,43 @@ def test_rejects_bad_window_and_rank():
         manifest_from_dict(minimal(t_w=3001))
     with pytest.raises(ValueError, match="rank|r_max"):
         manifest_from_dict(minimal(r_max=0))
-    with pytest.raises(ValueError, match="als.rank"):
-        manifest_from_dict(minimal(r_max=10, als={"rank": 5}))
+    # The CP rank is r_max; als.rank is not a manifest key.
+    with pytest.raises(ValueError, match="unknown als keys"):
+        manifest_from_dict(minimal(r_max=10, als={"rank": 10}))
+
+
+@pytest.mark.parametrize(
+    "over, key",
+    [
+        ({"sim": {"t": 600.9, "f": 100, "m": 100}}, "sim.t"),
+        ({"sim": {"t": 3000, "f": 100, "m": 100, "seed": True}}, "sim.seed"),
+        ({"sim": {"t": 3000, "f": 100, "m": 100, "snr_db": True}}, "sim.snr_db"),
+        ({"sim": {"t": 3000, "f": "100", "m": 100}}, "sim.f"),
+        ({"t_w": 100.5}, "t_w"),
+        ({"r_max": True}, "r_max"),
+        ({"als": {"max_iters": float("inf")}}, "als.max_iters"),
+        ({"als": {"seed": float("nan")}}, "als.seed"),
+        ({"train": {"epochs": 2.7}}, "train.epochs"),
+        ({"train": {"seed": False}}, "train.seed"),
+        ({"experiments_per_activity": {"A1": 2.5}}, "experiments_per_activity.A1"),
+        ({"antenna_sweep": [3, 10.5]}, r"antenna_sweep\[1\]"),
+    ],
+)
+def test_rejects_booleans_and_non_integral_ints(over, key):
+    with pytest.raises(ValueError, match=key):
+        manifest_from_dict(minimal(**over))
+
+
+def test_integral_floats_are_ints():
+    man = manifest_from_dict(
+        minimal(t_w=100.0, train={"epochs": 3.0}, antenna_sweep=[3.0, 100])
+    )
+    assert man.t_w == 100 and type(man.t_w) is int
+    assert man.train.epochs == 3 and type(man.train.epochs) is int
+    assert man.antenna_sweep == (3, 100)
+    assert canonical_dict(man) == canonical_dict(
+        manifest_from_dict(minimal(t_w=100, train={"epochs": 3}, antenna_sweep=[3, 100]))
+    )
 
 
 def test_rejects_bad_counts():
@@ -133,18 +169,32 @@ def test_canonical_dict_excludes_output_dir():
     assert "output_dir" not in canonical_dict(a)
 
 
+def _another_value(value):
+    """A different, still valid value of one config field."""
+    if isinstance(value, str):
+        return {"LOS": "NLOS"}[value]
+    if isinstance(value, int):
+        return value + 1
+    return value / 2 + 0.001
+
+
 def test_canonical_dict_reflects_every_knob():
-    base = canonical_dict(manifest_from_dict(minimal()))
-    for over in (
+    man = manifest_from_dict(minimal())
+    base = canonical_dict(man)
+    overs = [
         {"t_w": 100},
         {"r_max": 50},
-        {"als": {"max_iters": 7}},
-        {"train": {"seed": 3}},
-        {"sim": {"t": 3000, "f": 100, "m": 100, "snr_db": 10.0}},
         {"experiments_per_activity": {"A1": 2}},
         {"antenna_sweep": [3, 100]},
-    ):
-        assert canonical_dict(manifest_from_dict(minimal(**over))) != base
+    ]
+    for block, cfg in (("sim", man.sim), ("als", man.als), ("train", man.train)):
+        raw = minimal()[block] if block == "sim" else {}
+        for f in dataclasses.fields(cfg):
+            if (block, f.name) != ("als", "rank"):
+                value = _another_value(getattr(cfg, f.name))
+                overs.append({block: dict(raw, **{f.name: value})})
+    for over in overs:
+        assert canonical_dict(manifest_from_dict(minimal(**over))) != base, over
 
 
 def test_reseed_overrides_all_three_seeds():
