@@ -100,16 +100,35 @@ class CpModel:
         return tuple(f.shape[0] for f in self.factors)
 
 
-def _unit_columns(m: np.ndarray) -> np.ndarray:
-    """Normalize columns to unit norm; zero columns become e1."""
+def _unit_columns(m: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
+    """Normalize columns to unit norm; zero columns become e1.  ``norms``,
+    when given, must be the column norms of ``m``."""
     out = m.copy()
-    norms = np.linalg.norm(out, axis=0)
+    if norms is None:
+        norms = np.linalg.norm(out, axis=0)
     dead = norms == 0.0
     if dead.any():
         out[:, dead] = 0.0
         out[0, dead] = 1.0
         norms = np.where(dead, 1.0, norms)
     return out / norms
+
+
+def _partial_mode3(x3: np.ndarray, c: np.ndarray, dims) -> np.ndarray:
+    """The dimension-tree node ``P = X ×₃ Cᵀ`` of a (I, J, K) tensor from
+    its mode-3 unfolding ``x3``, laid out (R, J, I) so that
+    ``p[r, j, i] = Σ_k X[i, j, k] C[k, r]``."""
+    return (c.T @ x3).reshape(c.shape[1], dims[1], dims[0])
+
+
+def _mttkrp1(p: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mode-1 MTTKRP ``X_(1) (C ⊙ B)`` from ``P`` (one GEMV per column)."""
+    return (b.T[:, None, :] @ p)[:, 0, :].T
+
+
+def _mttkrp2(p: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Mode-2 MTTKRP ``X_(2) (C ⊙ A)`` from the same ``P``."""
+    return (p @ a.T[:, :, None])[:, :, 0].T
 
 
 def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
@@ -148,6 +167,105 @@ def _solve_factor(gram: np.ndarray, mttkrp: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(ridged, mttkrp.T, rcond=None)[0].T
 
 
+# Column cosines at or above this magnitude count as the same direction.
+# The ridge bias keeps duplicates ~1e-6 off perfect alignment, hence the
+# loose threshold; genuinely distinct components sit nowhere near it.
+_PARALLEL = 1.0 - 1e-5
+
+# A group of components on one direction in one mode collapses when the
+# rest of its contribution is rank one to this relative precision.
+_RANK_ONE = 1e-8
+
+
+def _refresh_cosines(factors, cosines, n: int, i: int) -> None:
+    """Recompute row and column ``i`` of ``cosines[n]`` after column ``i``
+    of ``factors[n]`` changed."""
+    cosines[n][i, :] = factors[n][:, i] @ factors[n]
+    cosines[n][:, i] = cosines[n][i, :]
+
+
+def _merge_duplicates(factors, scales, cosines) -> None:
+    """Collapse components that share directions, in place.
+
+    ``factors`` hold unit columns, ``scales`` the component weights and
+    ``cosines[m]`` the Gram matrix of ``factors[m]``.  Over-rank fits on
+    low-rank data leave several components on one rank-one direction, or
+    components equal in one or two modes that differ in the rest, with an
+    arbitrary split of the scale.  The individual weights are not
+    identifiable, but their combination is:
+
+    * three or more components parallel to component i in one mode,
+      whose combined contribution there is v_i ∘ M with M of rank one
+      (to ``_RANK_ONE``): they become one component, v_i ∘ (M's leading
+      singular pair), weighted by M's largest singular value;
+    * two parallel in all three modes: component j's signed weight is
+      added to component i's;
+    * two parallel in two modes: component i's vector in the third (free)
+      mode becomes the signed, weighted sum of both components' vectors,
+      normalized, and its norm becomes the weight.
+
+    The merged-away components get weight 0.  The group rule keeps the
+    represented tensor to ``_RANK_ONE``; the pair rules keep it up to the
+    components' misalignment, which they allow up to ``_PARALLEL``.  So
+    the group rule runs first: a pair merge would hide the group's rank
+    one.  Two components alone form a rank-one M only when they are
+    parallel in a second mode, which the pair rules cover.
+    """
+    rank = scales.shape[0]
+    # Every rule needs two components parallel in some mode; most fits
+    # have none, so skip the loops.
+    if all(np.count_nonzero(np.abs(c) >= _PARALLEL) <= rank for c in cosines):
+        return
+    for m in range(3):
+        rest = [n for n in range(3) if n != m]
+        x, y = (factors[n] for n in rest)
+        for i in range(rank):
+            if scales[i] == 0.0:
+                continue
+            group = [
+                j
+                for j in range(i, rank)
+                if scales[j] != 0.0 and abs(cosines[m][i, j]) >= _PARALLEL
+            ]
+            if len(group) < 3:
+                continue
+            signed = np.sign(cosines[m][i, group]) * scales[group]
+            u, s, vt = np.linalg.svd((x[:, group] * signed) @ y[:, group].T)
+            if np.linalg.norm(s[1:]) > _RANK_ONE * s[0]:
+                continue
+            scales[group] = 0.0
+            scales[i] = s[0]
+            x[:, i], y[:, i] = u[:, 0], vt[0]
+            for n in rest:
+                _refresh_cosines(factors, cosines, n, i)
+    for i in range(rank):
+        if scales[i] == 0.0:
+            continue
+        for j in range(i + 1, rank):
+            if scales[j] == 0.0:
+                continue
+            cos = [c[i, j] for c in cosines]
+            if abs(cos[0] * cos[1] * cos[2]) >= _PARALLEL:
+                merged = scales[i] + np.sign(cos[0] * cos[1] * cos[2]) * scales[j]
+                if merged < 0.0:
+                    factors[0][:, i] = -factors[0][:, i]
+                    cosines[0][i, :] = -cosines[0][i, :]
+                    cosines[0][:, i] = -cosines[0][:, i]
+                    merged = -merged
+                scales[i] = merged
+                scales[j] = 0.0
+            elif sum(abs(cm) >= _PARALLEL for cm in cos) >= 2:
+                free = int(np.argmin(np.abs(cos)))
+                sign = np.prod([np.sign(cm) for m, cm in enumerate(cos) if m != free])
+                f = factors[free]
+                v = scales[i] * f[:, i] + sign * scales[j] * f[:, j]
+                scales[i] = np.linalg.norm(v)
+                scales[j] = 0.0
+                if scales[i] > 0.0:
+                    f[:, i] = v / scales[i]
+                    _refresh_cosines(factors, cosines, free, i)
+
+
 def cp_als(tensor, config: AlsConfig) -> CpModel:
     """Fit a CP model by alternating least squares.
 
@@ -157,6 +275,15 @@ def cp_als(tensor, config: AlsConfig) -> CpModel:
     are initialized with seeded i.i.d. standard normal columns
     (normalized), so identical (tensor, config) pairs reproduce
     bit-identical models.
+
+    The sweep keeps one copy of the tensor, its mode-3 unfolding, and
+    contracts it twice, not once per mode (a dimension tree; Phan,
+    Tichavský & Cichocki 2013, Kaya & Uçar 2018).  The mode-1 and mode-2
+    MTTKRPs both contract X with C, which changes between them only by
+    the column scale the mode-1 update moves onto it.  So the sweep forms
+    P = X ×₃ Cᵀ once and reads both MTTKRPs off P: mode 1 contracts it
+    with B, mode 2 with the unnormalized mode-1 solution, whose column
+    norms are that scale.  Mode 3 contracts the unfolding with B ⊙ A.
 
     The residual after a sweep comes from the Gram identity (Kolda &
     Bader, SIAM Review 2009; the fit step of Tensor Toolbox ``cp_als``)
@@ -173,6 +300,16 @@ def cp_als(tensor, config: AlsConfig) -> CpModel:
     fit of 1e-3), the sweep recomputes it densely.  Either way the fit
     only decides when to stop; the factors, and so the weights, do not
     depend on which residual was taken.
+
+    Over-rank fits leave components that share directions, with an
+    arbitrary split of the weight.  After the last sweep
+    ``_merge_duplicates`` collapses them: two components parallel in all
+    three modes (|cos| of 1 - 1e-5 or more) merge into one with their
+    signed weight sum; two parallel in two modes merge into one whose
+    vector in the third mode is their signed, weighted sum, normalized,
+    with its norm as the weight; and three or more parallel in one mode
+    whose joint term is rank one become that rank-one term.  The freed
+    components get weight zero.
     """
     t = np.asarray(tensor, dtype=np.float64)
     if t.ndim != 3:
@@ -200,8 +337,8 @@ def cp_als(tensor, config: AlsConfig) -> CpModel:
             diagnostics=CpDiagnostics(degenerate=True, converged=True),
         )
 
-    # Unfoldings are reused every sweep; pay the reshuffle cost once.
-    unfoldings = [np.ascontiguousarray(unfold(t, n)) for n in (1, 2, 3)]
+    # The only copy of the tensor every sweep reads.
+    x3 = np.ascontiguousarray(unfold(t, 3))
 
     norm_sq = norm_t * norm_t
     # grams[j] is factors[j].T @ factors[j], refreshed whenever factor j
@@ -213,26 +350,26 @@ def cp_als(tensor, config: AlsConfig) -> CpModel:
     converged = False
     n_sweeps = 0
     for _ in range(config.max_iters):
-        for n in range(3):
-            i, j = (m for m in range(3) if m != n)
-            kr = khatri_rao(factors[j], factors[i])
-            gram = grams[i] * grams[j]
-            mttkrp = unfoldings[n] @ kr
-            updated = _solve_factor(gram, mttkrp)
-            if n < 2:
-                # Move the column scales onto the third factor so the
-                # represented tensor is unchanged; each update then only
-                # ever lowers the residual, keeping sweep-end fits
-                # monotone non-increasing.
-                norms = np.linalg.norm(updated, axis=0)
-                factors[2] = factors[2] * norms
-                factors[n] = _unit_columns(updated)
-                grams[n] = factors[n].T @ factors[n]
-            else:
-                factors[n] = updated
+        p = _partial_mode3(x3, factors[2], dims)
+        # Mode 1 contracts P with B, mode 2 with mode 1's raw solution.
+        raw = factors[1]
+        for n, mttkrp_from_p in ((0, _mttkrp1), (1, _mttkrp2)):
+            raw = _solve_factor(grams[1 - n] * grams[2], mttkrp_from_p(p, raw))
+            # Move the column scales onto the third factor so the
+            # represented tensor is unchanged; each update then only
+            # ever lowers the residual, keeping sweep-end fits
+            # monotone non-increasing.
+            norms = np.linalg.norm(raw, axis=0)
+            factors[2] = factors[2] * norms
+            factors[n] = _unit_columns(raw, norms)
+            grams[n] = factors[n].T @ factors[n]
             grams[2] = factors[2].T @ factors[2]
+        kr = khatri_rao(factors[1], factors[0])
+        gram = grams[0] * grams[1]
+        mttkrp = x3 @ kr
+        factors[2] = _solve_factor(gram, mttkrp)
+        grams[2] = factors[2].T @ factors[2]
         n_sweeps += 1
-        # gram, mttkrp and kr are those of the mode-3 update.
         resid_sq = (
             norm_sq
             - 2.0 * float(np.vdot(factors[2], mttkrp))
@@ -241,7 +378,7 @@ def cp_als(tensor, config: AlsConfig) -> CpModel:
         if resid_sq > _DENSE_RESIDUAL_BELOW * norm_sq:
             resid = float(np.sqrt(resid_sq))
         else:
-            resid = float(np.linalg.norm(unfoldings[2] - factors[2] @ kr.T))
+            resid = float(np.linalg.norm(x3 - factors[2] @ kr.T))
         fit = resid / norm_t
         fits.append(fit)
         if prev_fit is not None:
@@ -251,25 +388,9 @@ def cp_als(tensor, config: AlsConfig) -> CpModel:
         prev_fit = fit
 
     scales = np.linalg.norm(factors[2], axis=0)
-    factors[2] = _unit_columns(factors[2])
-    # Over-rank fits on low-rank data leave several components on the
-    # same rank-one direction with an arbitrary split of the scale; the
-    # individual weights are not identifiable but their signed sum is,
-    # so collapse duplicates onto one component.  The ridge bias keeps
-    # duplicates ~1e-6 off perfect alignment, hence the loose threshold;
-    # genuinely distinct components sit nowhere near it.
-    cos = grams[0] * grams[1] * (factors[2].T @ factors[2])
-    for i in range(config.rank):
-        if scales[i] == 0.0:
-            continue
-        for j in range(i + 1, config.rank):
-            if scales[j] != 0.0 and abs(cos[i, j]) >= 1.0 - 1e-5:
-                merged = scales[i] + np.sign(cos[i, j]) * scales[j]
-                if merged < 0.0:
-                    factors[0][:, i] = -factors[0][:, i]
-                    merged = -merged
-                scales[i] = merged
-                scales[j] = 0.0
+    factors[2] = _unit_columns(factors[2], scales)
+    cosines = [grams[0], grams[1], factors[2].T @ factors[2]]
+    _merge_duplicates(factors, scales, cosines)
     order = np.argsort(-scales, kind="stable")
     model = CpModel(
         weights=scales[order],

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import typing
 from dataclasses import MISSING, dataclass, field
 from pathlib import Path
@@ -72,8 +73,10 @@ class ExperimentManifest:
             raise ValueError(
                 f"t_w must be in [1, {self.sim.t}], got {self.t_w}"
             )
-        if self.r_max < 1:
-            raise ValueError(f"r_max must be >= 1, got {self.r_max}")
+        # The classifier drops each weight vector's largest weight, so
+        # r_max = 1 would leave it no input.
+        if self.r_max < 2:
+            raise ValueError(f"r_max must be >= 2, got {self.r_max}")
         counts = self.experiments_per_activity
         for kind, count in counts.items():
             if not isinstance(kind, Activity):
@@ -109,13 +112,16 @@ class ExperimentManifest:
 
 def _as(kind: type, value, key: str):
     """One JSON value as ``kind``.  Booleans are refused, and so is any
-    value an int conversion would change, so nothing is truncated."""
+    value an int conversion would change, so nothing is truncated, and
+    any non-finite float (JSON's NaN and Infinity)."""
     try:
         out = kind(value)
     except (TypeError, ValueError, OverflowError):
         out = None
     if out is None or isinstance(value, bool) or (kind is int and out != value):
         raise ValueError(f"{key} must be {kind.__name__}, got {value!r}")
+    if kind is float and not math.isfinite(out):
+        raise ValueError(f"{key} must be finite, got {value!r}")
     return out
 
 

@@ -17,6 +17,7 @@ from mimosense.cp import (
     reconstruct,
     sorted_weights,
 )
+from mimosense.tensor_ops import khatri_rao, unfold
 
 
 def build_cp_tensor(weights, factors):
@@ -154,25 +155,24 @@ def test_mode_permutation_leaves_sorted_weights():
 
 
 def record_updates(monkeypatch):
-    """Record every mode update of cp_als as (X, Y, solution), X and Y
-    being the two fixed factors in mode order.  Every third update is
-    the mode-3 one: it holds (A, B, C) as that sweep leaves them, with
-    the weights carried by C."""
-    updates = []
-    real_kr, real_solve = cp.khatri_rao, cp._solve_factor
-
-    def kr(y, x):
-        updates.append((x.copy(), y.copy()))
-        return real_kr(y, x)
+    """Record the factors every cp_als sweep leaves, (A, B, C) with the
+    weights carried by C, from the sweep's three ``_solve_factor``
+    solutions in mode order: the mode-1 and mode-2 solutions normalized
+    as the sweep stores them, the mode-3 one as it is."""
+    sweeps, pending = [], []
+    real_solve = cp._solve_factor
 
     def solve(gram, mttkrp):
         new = real_solve(gram, mttkrp)
-        updates[-1] += (new.copy(),)
+        pending.append(new.copy())
+        if len(pending) == 3:
+            a, b, c = pending
+            sweeps.append((cp._unit_columns(a), cp._unit_columns(b), c))
+            pending.clear()
         return new
 
-    monkeypatch.setattr(cp, "khatri_rao", kr)
     monkeypatch.setattr(cp, "_solve_factor", solve)
-    return updates
+    return sweeps
 
 
 def dense_fit(t, a, b, c):
@@ -190,10 +190,9 @@ def dense_fit(t, a, b, c):
 )
 def test_fit_errors_match_dense_residual(monkeypatch, dims):
     t = np.abs(np.random.default_rng(sum(dims)).standard_normal(dims))
-    updates = record_updates(monkeypatch)
+    sweeps = record_updates(monkeypatch)
     model = cp_als(t, AlsConfig(rank=10, max_iters=16, seed=3))
     fits = model.diagnostics.fit_errors
-    sweeps = updates[2::3]
     assert len(sweeps) == len(fits) == model.diagnostics.n_sweeps
     for fit, factors in zip(fits, sweeps):
         assert abs(fit - dense_fit(t, *factors)) <= 1e-10
@@ -204,13 +203,152 @@ def test_near_exact_fit_takes_dense_residual(monkeypatch):
     # cancellation here, so the recorded fits must come from the dense
     # residual and still never rise.
     t, _ = rank3_oracle(seed=9)
-    updates = record_updates(monkeypatch)
+    sweeps = record_updates(monkeypatch)
     model = cp_als(t, AlsConfig(rank=3, max_iters=100, rel_tol=1e-12))
     fits = np.array(model.diagnostics.fit_errors)
     assert fits[0] > 1e-3 > fits.min()
     assert np.all(np.diff(fits) <= 1e-10)
-    for fit, factors in zip(fits, updates[2::3]):
+    for fit, factors in zip(fits, sweeps):
         assert abs(fit - dense_fit(t, *factors)) <= 1e-10
+
+
+def rel_err(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [
+        (100, 16, 32),  # window amplitude, (T_w, F, M)
+        (100, 100, 32),  # time correlation per antenna, (T_w, T_w, M)
+        (100, 100, 16),  # time correlation per subcarrier, (T_w, T_w, F)
+        (16, 16, 32),  # frequency correlation per antenna, (F, F, M)
+        (32, 32, 100),  # space correlation per snapshot, (M, M, T_w)
+    ],
+)
+def test_tree_mttkrps_match_unfolding_oracle(dims):
+    rng = np.random.default_rng(sum(dims))
+    t = rng.standard_normal(dims)
+    a_raw, b, c = (rng.standard_normal((d, 10)) for d in dims)
+    a_raw[:, 3] = 0.0  # a dead mode-1 solution column
+    p = cp._partial_mode3(np.ascontiguousarray(unfold(t, 3)), c, dims)
+
+    want1 = unfold(t, 1) @ khatri_rao(c, b)
+    assert rel_err(cp._mttkrp1(p, b), want1) <= 1e-12
+
+    # The sweep's mode-2 update sees A normalized (the dead column as
+    # e1) and C scaled by A's column norms (the dead column zeroed).
+    norms = np.linalg.norm(a_raw, axis=0)
+    want2 = unfold(t, 2) @ khatri_rao(c * norms, cp._unit_columns(a_raw))
+    got2 = cp._mttkrp2(p, a_raw)
+    assert rel_err(got2, want2) <= 1e-12
+    assert_array_equal(got2[:, 3], 0.0)
+
+
+def cp_tensor(weights, factors):
+    return np.einsum("r,ir,jr,kr->ijk", weights, *factors)
+
+
+def duplicate_pair(rng, free, sign):
+    """Two components equal in every mode but ``free``, up to the
+    ``sign`` of one shared vector, and a third distinct component."""
+    factors = random_unit_factors(rng, (6, 5, 4), 3)
+    shared = [m for m in range(3) if m != free]
+    for m in shared:
+        factors[m][:, 1] = factors[m][:, 0]
+    factors[shared[0]][:, 1] *= sign
+    return np.array([2.0, 1.5, 0.7]), factors
+
+
+@pytest.mark.parametrize("free", [0, 1, 2])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_two_mode_duplicates_merge(free, sign):
+    rng = np.random.default_rng(10 * free + int(sign > 0))
+    weights, factors = duplicate_pair(rng, free, sign)
+    before = cp_tensor(weights, factors)
+    merged = np.linalg.norm(
+        weights[0] * factors[free][:, 0] + sign * weights[1] * factors[free][:, 1]
+    )
+    scales = weights.copy()
+    cp._merge_duplicates(factors, scales, [f.T @ f for f in factors])
+    assert_allclose(scales, [merged, 0.0, 0.7], rtol=1e-14)
+    assert_allclose(cp_tensor(scales, factors), before, atol=1e-13)
+    assert_allclose(np.linalg.norm(factors[free], axis=0), 1.0, atol=1e-14)
+
+
+def shared_mode_group(rng, shared, rank_one):
+    """Three components on one direction in mode ``shared``, no two of
+    them parallel in another mode.  In the other two modes the vectors
+    are (x1, x2, x1 + x2) and (y1, y2, y1 - 2 y2), so the sum is
+    (2 x1 + x2) ∘ (y1 - y2) there: rank one.  ``rank_one=False`` swaps
+    the last vector for a random one.  The third component carries the
+    shared vector negated, and its x vector too, which keeps its term."""
+    x1, x2 = rng.standard_normal((2, 6))
+    y1, y2, y3 = rng.standard_normal((3, 5))
+    v = rng.standard_normal(4)
+    x = np.stack([x1, x2, -(x1 + x2)], axis=1)
+    y = np.stack([y1, y2, y1 - 2.0 * y2 if rank_one else y3], axis=1)
+    vs = np.stack([v, v, -v], axis=1)
+    weights = np.ones(3)
+    for f in (x, y, vs):
+        weights *= np.linalg.norm(f, axis=0)
+    rest = iter([x, y])
+    factors = [vs if m == shared else next(rest) for m in range(3)]
+    return weights, [f / np.linalg.norm(f, axis=0) for f in factors]
+
+
+@pytest.mark.parametrize("shared", [0, 1, 2])
+def test_shared_mode_group_collapses_to_rank_one(shared):
+    rng = np.random.default_rng(20 + shared)
+    weights, factors = shared_mode_group(rng, shared, rank_one=True)
+    before = cp_tensor(weights, factors)
+    scales = weights.copy()
+    cp._merge_duplicates(factors, scales, [f.T @ f for f in factors])
+    assert np.count_nonzero(scales) == 1
+    assert_allclose(scales[0], np.linalg.norm(before), rtol=1e-12)
+    assert_allclose(cp_tensor(scales, factors), before, atol=1e-12)
+
+
+def test_shared_mode_group_of_rank_two_stays():
+    rng = np.random.default_rng(23)
+    weights, factors = shared_mode_group(rng, 1, rank_one=False)
+    scales = weights.copy()
+    cp._merge_duplicates(factors, scales, [f.T @ f for f in factors])
+    assert_array_equal(scales, weights)
+
+
+def test_three_mode_chain_merges_keep_signs():
+    # Three copies of one component with weights +1, -3 and +0.5: the
+    # first merge flips A's column, and the second must see that flip.
+    # The copies sit ~5e-4 apart in every mode: parallel for the pair
+    # rule, but too far apart for any mode's group to be rank one.
+    rng = np.random.default_rng(3)
+    factors = []
+    for f in random_unit_factors(rng, (6, 5, 4), 1):
+        f = np.repeat(f, 3, axis=1) + 5e-4 * rng.standard_normal((f.shape[0], 3))
+        factors.append(f / np.linalg.norm(f, axis=0))
+    factors[0][:, 1] *= -1.0
+    weights = np.array([1.0, 3.0, 0.5])
+    before = cp_tensor(weights, factors)
+    scales = weights.copy()
+    cp._merge_duplicates(factors, scales, [f.T @ f for f in factors])
+    assert_array_equal(scales[1:], 0.0)
+    assert_allclose(scales[0], 1.5, rtol=1e-10)
+    assert_allclose(cp_tensor(scales, factors), before, atol=1e-2)
+
+
+def test_distinct_components_do_not_merge():
+    rng = np.random.default_rng(4)
+    factors = random_unit_factors(rng, (6, 5, 4), 3)
+    # Parallel in one mode only: no merge.
+    factors[0][:, 1] = factors[0][:, 0]
+    weights = np.array([2.0, 1.5, 0.7])
+    scales = weights.copy()
+    kept = [f.copy() for f in factors]
+    cp._merge_duplicates(factors, scales, [f.T @ f for f in factors])
+    assert_array_equal(scales, weights)
+    for f, k in zip(factors, kept):
+        assert_array_equal(f, k)
 
 
 def test_solve_factor_equals_scipy_cholesky():

@@ -122,6 +122,42 @@ def test_rejects_booleans_and_non_integral_ints(over, key):
         manifest_from_dict(minimal(**over))
 
 
+def test_rejects_r_max_below_two():
+    # The classifier input drops each weight vector's largest weight:
+    # r_max = 1 would leave 31 * 0 input columns.
+    with pytest.raises(ValueError, match="r_max must be >= 2"):
+        manifest_from_dict(minimal(r_max=1))
+    assert manifest_from_dict(minimal(r_max=2)).r_max == 2
+
+
+SIM = {"t": 3000, "f": 100, "m": 100}
+
+
+@pytest.mark.parametrize(
+    "over, key",
+    [
+        ({"sim": dict(SIM, snr_db=float("nan"))}, "sim.snr_db"),
+        ({"sim": dict(SIM, rician_k_db=float("inf"))}, "sim.rician_k_db"),
+        ({"sim": dict(SIM, snapshot_interval=float("nan"))}, "sim.snapshot_interval"),
+        ({"als": {"rel_tol": float("nan")}}, "als.rel_tol"),
+        ({"train": {"learning_rate": float("nan")}}, "train.learning_rate"),
+        ({"train": {"beta1": float("-inf")}}, "train.beta1"),
+        ({"train": {"eps": float("inf")}}, "train.eps"),
+    ],
+)
+def test_rejects_non_finite_floats(over, key):
+    with pytest.raises(ValueError, match=rf"{key} must be finite"):
+        manifest_from_dict(minimal(**over))
+
+
+def test_non_finite_json_literals_rejected(tmp_path):
+    # Python's json module reads the NaN and Infinity literals.
+    path = tmp_path / "m.json"
+    path.write_text('{"sim": {"t": 3000, "f": 100, "m": 100, "snr_db": NaN}}')
+    with pytest.raises(ValueError, match="sim.snr_db must be finite"):
+        load_manifest(path)
+
+
 def test_integral_floats_are_ints():
     man = manifest_from_dict(
         minimal(t_w=100.0, train={"epochs": 3.0}, antenna_sweep=[3.0, 100])
