@@ -407,7 +407,8 @@ def _mask_to_runs(mask: np.ndarray) -> list[list[int]]:
 def _runs_to_mask(runs, t: int) -> np.ndarray:
     mask = np.zeros(t, dtype=bool)
     for start, length in runs:
-        if start < 0 or length < 0 or start + length > t:
+        # Interpolation needs the first and last snapshots; none is lost.
+        if start < 1 or length < 0 or start + length > t - 1:
             raise DataError(f"invalid lost-frame run [{start}, {length}] for T={t}")
         mask[start : start + length] = True
     return mask

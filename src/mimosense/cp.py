@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dposv
 
-from .tensor_ops import frobenius_norm, khatri_rao, unfold
+from .tensor_ops import frobenius_norm, khatri_rao
 
 __all__ = [
     "AlsConfig",
@@ -103,15 +103,16 @@ class CpModel:
 def _unit_columns(m: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
     """Normalize columns to unit norm; zero columns become e1.  ``norms``,
     when given, must be the column norms of ``m``."""
-    out = m.copy()
     if norms is None:
-        norms = np.linalg.norm(out, axis=0)
+        # np.linalg.norm(m, axis=0)'s arithmetic, without its dispatch
+        norms = np.sqrt(np.add.reduce(m * m, axis=0))
     dead = norms == 0.0
     if dead.any():
-        out[:, dead] = 0.0
-        out[0, dead] = 1.0
+        m = m.copy()
+        m[:, dead] = 0.0
+        m[0, dead] = 1.0
         norms = np.where(dead, 1.0, norms)
-    return out / norms
+    return m / norms
 
 
 def _partial_mode3(x3: np.ndarray, c: np.ndarray, dims) -> np.ndarray:
@@ -131,38 +132,32 @@ def _mttkrp2(p: np.ndarray, a: np.ndarray) -> np.ndarray:
     return (p @ a.T[:, :, None])[:, :, 0].T
 
 
-def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """``gram⁻¹ @ rhs`` through LAPACK's Cholesky routines, or None when
-    ``gram`` is not positive definite.
-
-    These are the calls ``scipy.linalg.cho_factor``/``cho_solve`` make,
-    without their per-call argument handling, which dominates on the
-    small Gram matrices of an ALS sweep; the results are identical.
-    """
-    c, info = dpotrf(gram, lower=0, clean=0)
-    if info != 0:
-        return None
-    x, info = dpotrs(c, rhs, lower=0)
-    return x if info == 0 else None
+def _mttkrp3(x3: np.ndarray, a: np.ndarray, b: np.ndarray, dims) -> np.ndarray:
+    """Mode-3 MTTKRP ``X_(3) (B ⊙ A)`` without forming B ⊙ A: ``Q = X ×₁ Aᵀ``
+    from the mode-3 unfolding, laid out (R, K, J), then one GEMV per column."""
+    i, j, k = dims
+    q = (a.T @ x3.reshape(k * j, i).T).reshape(a.shape[1], k, j)
+    return (q @ b.T[:, :, None])[:, :, 0].T
 
 
 def _solve_factor(gram: np.ndarray, mttkrp: np.ndarray) -> np.ndarray:
-    """Solve ``new @ gram = mttkrp`` for the factor update.
+    """Solve ``new @ gram = mttkrp`` for the factor update, each try one
+    LAPACK ``dposv`` call (what ``cho_factor`` and ``cho_solve`` compute).
 
     A singular or indefinite Gram matrix gets a ridge of 1e-10 times its
     trace before retrying; correlation-derived tensors are routinely
     numerically low-rank.
     """
-    x = _cholesky_solve(gram, mttkrp.T)
-    if x is not None:
+    _, x, info = dposv(gram, mttkrp.T)
+    if info == 0:
         return x.T
     tr = float(np.trace(gram))
     if tr <= 0.0:
         # all-dead factors: least-squares target is identically zero
         return np.zeros_like(mttkrp)
     ridged = gram + (1e-10 * tr) * np.eye(gram.shape[0])
-    x = _cholesky_solve(ridged, mttkrp.T)
-    if x is not None:
+    _, x, info = dposv(ridged, mttkrp.T)
+    if info == 0:
         return x.T
     return np.linalg.lstsq(ridged, mttkrp.T, rcond=None)[0].T
 
@@ -280,10 +275,13 @@ def cp_als(tensor, config: AlsConfig) -> CpModel:
     contracts it twice, not once per mode (a dimension tree; Phan,
     Tichavský & Cichocki 2013, Kaya & Uçar 2018).  The mode-1 and mode-2
     MTTKRPs both contract X with C, which changes between them only by
-    the column scale the mode-1 update moves onto it.  So the sweep forms
-    P = X ×₃ Cᵀ once and reads both MTTKRPs off P: mode 1 contracts it
-    with B, mode 2 with the unnormalized mode-1 solution, whose column
-    norms are that scale.  Mode 3 contracts the unfolding with B ⊙ A.
+    the column scale the mode-1 update moves onto it; C is rescaled only
+    then, since mode 3 replaces it from A and B alone.  So the sweep
+    forms P = X ×₃ Cᵀ once and reads both MTTKRPs off P: mode 1
+    contracts it with B, mode 2 with the unnormalized mode-1 solution,
+    whose column norms are that scale.  Mode 3 forms Q = X ×₁ Aᵀ and
+    contracts it with B in one batched product, never forming B ⊙ A
+    (Hayashi, Ballard, Jiang & Tobia 2018).
 
     The residual after a sweep comes from the Gram identity (Kolda &
     Bader, SIAM Review 2009; the fit step of Tensor Toolbox ``cp_als``)
@@ -337,8 +335,9 @@ def cp_als(tensor, config: AlsConfig) -> CpModel:
             diagnostics=CpDiagnostics(degenerate=True, converged=True),
         )
 
-    # The only copy of the tensor every sweep reads.
-    x3 = np.ascontiguousarray(unfold(t, 3))
+    # The only copy of the tensor every sweep reads: the mode-3 unfolding
+    # in one transposing copy (np.ascontiguousarray(unfold(t, 3)) makes two).
+    x3 = np.ascontiguousarray(t.transpose(2, 1, 0)).reshape(dims[2], -1)
 
     norm_sq = norm_t * norm_t
     # grams[j] is factors[j].T @ factors[j], refreshed whenever factor j
@@ -351,22 +350,21 @@ def cp_als(tensor, config: AlsConfig) -> CpModel:
     n_sweeps = 0
     for _ in range(config.max_iters):
         p = _partial_mode3(x3, factors[2], dims)
-        # Mode 1 contracts P with B, mode 2 with mode 1's raw solution.
-        raw = factors[1]
-        for n, mttkrp_from_p in ((0, _mttkrp1), (1, _mttkrp2)):
-            raw = _solve_factor(grams[1 - n] * grams[2], mttkrp_from_p(p, raw))
-            # Move the column scales onto the third factor so the
-            # represented tensor is unchanged; each update then only
-            # ever lowers the residual, keeping sweep-end fits
-            # monotone non-increasing.
-            norms = np.linalg.norm(raw, axis=0)
-            factors[2] = factors[2] * norms
-            factors[n] = _unit_columns(raw, norms)
-            grams[n] = factors[n].T @ factors[n]
-            grams[2] = factors[2].T @ factors[2]
-        kr = khatri_rao(factors[1], factors[0])
+        raw = _solve_factor(grams[1] * grams[2], _mttkrp1(p, factors[1]))
+        # Move the column scales onto the third factor so the
+        # represented tensor is unchanged; each update then only ever
+        # lowers the residual, keeping sweep-end fits monotone
+        # non-increasing.
+        norms = np.sqrt(np.add.reduce(raw * raw, axis=0))
+        factors[2] = factors[2] * norms
+        grams[2] = factors[2].T @ factors[2]
+        factors[0] = _unit_columns(raw, norms)
+        grams[0] = factors[0].T @ factors[0]
+        raw = _solve_factor(grams[0] * grams[2], _mttkrp2(p, raw))
+        factors[1] = _unit_columns(raw)
+        grams[1] = factors[1].T @ factors[1]
         gram = grams[0] * grams[1]
-        mttkrp = x3 @ kr
+        mttkrp = _mttkrp3(x3, factors[0], factors[1], dims)
         factors[2] = _solve_factor(gram, mttkrp)
         grams[2] = factors[2].T @ factors[2]
         n_sweeps += 1
@@ -378,6 +376,7 @@ def cp_als(tensor, config: AlsConfig) -> CpModel:
         if resid_sq > _DENSE_RESIDUAL_BELOW * norm_sq:
             resid = float(np.sqrt(resid_sq))
         else:
+            kr = khatri_rao(factors[1], factors[0])
             resid = float(np.linalg.norm(x3 - factors[2] @ kr.T))
         fit = resid / norm_t
         fits.append(fit)

@@ -334,6 +334,20 @@ def test_load_record_dim_disagreement(tmp_path):
         load_record(path)
 
 
+@pytest.mark.parametrize("run", [[0, 1], [7, 3]], ids=["first", "last"])
+def test_load_record_rejects_boundary_lost_run(tmp_path, run):
+    import json
+
+    rec = simulate_record(small_cfg(t=10), Activity.STATIC)
+    path = tmp_path / "rec.mmt3"
+    save_record(path, rec)
+    sidecar = json.loads((tmp_path / "rec.json").read_text())
+    sidecar["lost_runs"] = [run]
+    (tmp_path / "rec.json").write_text(json.dumps(sidecar))
+    with pytest.raises(DataError, match="invalid lost-frame run"):
+        load_record(path)
+
+
 def _old_layout(sidecar):
     sim = sidecar.pop("sim")
     sidecar["dims"] = [sim.pop(k) for k in ("t", "f", "m")]

@@ -231,7 +231,8 @@ def test_tree_mttkrps_match_unfolding_oracle(dims):
     t = rng.standard_normal(dims)
     a_raw, b, c = (rng.standard_normal((d, 10)) for d in dims)
     a_raw[:, 3] = 0.0  # a dead mode-1 solution column
-    p = cp._partial_mode3(np.ascontiguousarray(unfold(t, 3)), c, dims)
+    x3 = np.ascontiguousarray(unfold(t, 3))
+    p = cp._partial_mode3(x3, c, dims)
 
     want1 = unfold(t, 1) @ khatri_rao(c, b)
     assert rel_err(cp._mttkrp1(p, b), want1) <= 1e-12
@@ -243,6 +244,10 @@ def test_tree_mttkrps_match_unfolding_oracle(dims):
     got2 = cp._mttkrp2(p, a_raw)
     assert rel_err(got2, want2) <= 1e-12
     assert_array_equal(got2[:, 3], 0.0)
+
+    # Mode 3 contracts the unfolding with A and B, never forming B ⊙ A.
+    want3 = unfold(t, 3) @ khatri_rao(b, a_raw)
+    assert rel_err(cp._mttkrp3(x3, a_raw, b, dims), want3) <= 1e-12
 
 
 def cp_tensor(weights, factors):

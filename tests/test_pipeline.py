@@ -7,6 +7,7 @@ stage.
 
 import hashlib
 import json
+import logging
 from dataclasses import replace as dc_replace
 from pathlib import Path
 
@@ -205,6 +206,23 @@ def test_featurize_skips_corrupt_records_up_to_threshold(work_dir):
     second.write_bytes(b"garbage")
     with pytest.raises(DataError, match="too corrupt"):
         run_featurize(man)
+
+
+def test_featurize_skips_record_losing_a_boundary_snapshot(work_dir, caplog):
+    man = manifest_from_dict(
+        tiny_dict(work_dir, sim={"t": 40, "f": 3, "m": 4, "seed": 25})
+    )
+    ds = run_simulate(man)
+    sidecar = ds / "rec-0004.json"
+    raw = json.loads(sidecar.read_text())
+    raw["lost_runs"] = [[0, 1]]
+    sidecar.write_text(json.dumps(raw))
+    with caplog.at_level(logging.WARNING):
+        out = run_featurize(man)
+    assert "skipping record 0004" in caplog.text
+    feats = load_features_bin(out / "features.bin")
+    assert len(feats) == 18
+    assert all(fs.window_id // 2 != 4 for fs in feats)
 
 
 # -------------------------------------------------------------- train/eval
