@@ -8,10 +8,10 @@ descending order are the feature primitive of the sensing pipeline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dposv
 
 from .tensor_ops import frobenius_norm, khatri_rao
 
@@ -106,13 +106,13 @@ def _unit_columns(m: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
     if norms is None:
         # np.linalg.norm(m, axis=0)'s arithmetic, without its dispatch
         norms = np.sqrt(np.add.reduce(m * m, axis=0))
+    if norms.all():
+        return m / norms
     dead = norms == 0.0
-    if dead.any():
-        m = m.copy()
-        m[:, dead] = 0.0
-        m[0, dead] = 1.0
-        norms = np.where(dead, 1.0, norms)
-    return m / norms
+    m = m.copy()
+    m[:, dead] = 0.0
+    m[0, dead] = 1.0
+    return m / np.where(dead, 1.0, norms)
 
 
 def _partial_mode3(x3: np.ndarray, c: np.ndarray, dims) -> np.ndarray:
@@ -132,12 +132,22 @@ def _mttkrp2(p: np.ndarray, a: np.ndarray) -> np.ndarray:
     return (p @ a.T[:, :, None])[:, :, 0].T
 
 
-def _mttkrp3(x3: np.ndarray, a: np.ndarray, b: np.ndarray, dims) -> np.ndarray:
+def _mttkrp3(x1: np.ndarray, a: np.ndarray, b: np.ndarray, dims) -> np.ndarray:
     """Mode-3 MTTKRP ``X_(3) (B ⊙ A)`` without forming B ⊙ A: ``Q = X ×₁ Aᵀ``
-    from the mode-3 unfolding, laid out (R, K, J), then one GEMV per column."""
-    i, j, k = dims
-    q = (a.T @ x3.reshape(k * j, i).T).reshape(a.shape[1], k, j)
+    from ``x1``, the (I, KJ) view ``x3.reshape(K * J, I).T`` of the mode-3
+    unfolding, laid out (R, K, J), then one GEMV per column."""
+    _, j, k = dims
+    q = (a.T @ x1).reshape(a.shape[1], k, j)
     return (q @ b.T[:, :, None])[:, :, 0].T
+
+
+def _dposv(*args):
+    """LAPACK ``dposv``; the first call binds scipy's in this name's place,
+    so scipy.linalg loads only once a fit solves."""
+    global _dposv
+    from scipy.linalg.lapack import dposv as _dposv
+
+    return _dposv(*args)
 
 
 def _solve_factor(gram: np.ndarray, mttkrp: np.ndarray) -> np.ndarray:
@@ -148,7 +158,7 @@ def _solve_factor(gram: np.ndarray, mttkrp: np.ndarray) -> np.ndarray:
     trace before retrying; correlation-derived tensors are routinely
     numerically low-rank.
     """
-    _, x, info = dposv(gram, mttkrp.T)
+    _, x, info = _dposv(gram, mttkrp.T)
     if info == 0:
         return x.T
     tr = float(np.trace(gram))
@@ -156,7 +166,7 @@ def _solve_factor(gram: np.ndarray, mttkrp: np.ndarray) -> np.ndarray:
         # all-dead factors: least-squares target is identically zero
         return np.zeros_like(mttkrp)
     ridged = gram + (1e-10 * tr) * np.eye(gram.shape[0])
-    _, x, info = dposv(ridged, mttkrp.T)
+    _, x, info = _dposv(ridged, mttkrp.T)
     if info == 0:
         return x.T
     return np.linalg.lstsq(ridged, mttkrp.T, rcond=None)[0].T
@@ -265,11 +275,14 @@ def cp_als(tensor, config: AlsConfig) -> CpModel:
     """Fit a CP model by alternating least squares.
 
     Each sweep solves the mode-1, mode-2, then mode-3 linear
-    least-squares problem through the Khatri-Rao normal equations; the
-    fit residual recorded after every sweep is non-increasing.  Factors
-    are initialized with seeded i.i.d. standard normal columns
-    (normalized), so identical (tensor, config) pairs reproduce
-    bit-identical models.
+    least-squares problem through the Khatri-Rao normal equations, so
+    the fit residual recorded after every sweep is non-increasing, with
+    one exception: where a Gram matrix is singular, the ridge-retried
+    solve (``_solve_factor``) is not an exact least-squares step, and a
+    fit below about 1e-8 can rise by a few 1e-9, as (2, 2, n) tensors
+    fitted at their rank bound of 4 do.  Factors are initialized with
+    seeded i.i.d. standard normal columns (normalized), so identical
+    (tensor, config) pairs reproduce bit-identical models.
 
     The sweep keeps one copy of the tensor, its mode-3 unfolding, and
     contracts it twice, not once per mode (a dimension tree; Phan,
@@ -312,7 +325,9 @@ def cp_als(tensor, config: AlsConfig) -> CpModel:
     t = np.asarray(tensor, dtype=np.float64)
     if t.ndim != 3:
         raise ValueError(f"expected a third-order tensor, got ndim={t.ndim}")
-    if not np.isfinite(t).all():
+    norm_t = frobenius_norm(t)
+    # A finite norm rules out inf and NaN entries without a pass of its own.
+    if not math.isfinite(norm_t) and not np.isfinite(t).all():
         raise ValueError("tensor has non-finite entries")
     dims = t.shape
     bound = rank_upper_bound(dims)
@@ -327,7 +342,6 @@ def cp_als(tensor, config: AlsConfig) -> CpModel:
         _unit_columns(rng.standard_normal((d, config.rank))) for d in dims
     ]
 
-    norm_t = frobenius_norm(t)
     if norm_t == 0.0:
         return CpModel(
             weights=np.zeros(config.rank),
@@ -335,9 +349,10 @@ def cp_als(tensor, config: AlsConfig) -> CpModel:
             diagnostics=CpDiagnostics(degenerate=True, converged=True),
         )
 
-    # The only copy of the tensor every sweep reads: the mode-3 unfolding
-    # in one transposing copy (np.ascontiguousarray(unfold(t, 3)) makes two).
+    # The only copy of the tensor every sweep reads: the mode-3 unfolding,
+    # a view of a Fortran-ordered t, else one transposing copy.
     x3 = np.ascontiguousarray(t.transpose(2, 1, 0)).reshape(dims[2], -1)
+    x1 = x3.reshape(dims[2] * dims[1], dims[0]).T
 
     norm_sq = norm_t * norm_t
     # grams[j] is factors[j].T @ factors[j], refreshed whenever factor j
@@ -345,16 +360,13 @@ def cp_als(tensor, config: AlsConfig) -> CpModel:
     grams = [f.T @ f for f in factors]
 
     fits: list[float] = []
-    prev_fit = None
     converged = False
-    n_sweeps = 0
     for _ in range(config.max_iters):
         p = _partial_mode3(x3, factors[2], dims)
         raw = _solve_factor(grams[1] * grams[2], _mttkrp1(p, factors[1]))
         # Move the column scales onto the third factor so the
-        # represented tensor is unchanged; each update then only ever
-        # lowers the residual, keeping sweep-end fits monotone
-        # non-increasing.
+        # represented tensor is unchanged and each exact update only
+        # lowers the residual.
         norms = np.sqrt(np.add.reduce(raw * raw, axis=0))
         factors[2] = factors[2] * norms
         grams[2] = factors[2].T @ factors[2]
@@ -364,41 +376,37 @@ def cp_als(tensor, config: AlsConfig) -> CpModel:
         factors[1] = _unit_columns(raw)
         grams[1] = factors[1].T @ factors[1]
         gram = grams[0] * grams[1]
-        mttkrp = _mttkrp3(x3, factors[0], factors[1], dims)
+        mttkrp = _mttkrp3(x1, factors[0], factors[1], dims)
         factors[2] = _solve_factor(gram, mttkrp)
         grams[2] = factors[2].T @ factors[2]
-        n_sweeps += 1
         resid_sq = (
             norm_sq
             - 2.0 * float(np.vdot(factors[2], mttkrp))
             + float(np.vdot(gram, grams[2]))
         )
         if resid_sq > _DENSE_RESIDUAL_BELOW * norm_sq:
-            resid = float(np.sqrt(resid_sq))
+            resid = math.sqrt(resid_sq)
         else:
             kr = khatri_rao(factors[1], factors[0])
             resid = float(np.linalg.norm(x3 - factors[2] @ kr.T))
-        fit = resid / norm_t
-        fits.append(fit)
-        if prev_fit is not None:
-            if abs(prev_fit - fit) / max(prev_fit, 1e-15) < config.rel_tol:
+        fits.append(resid / norm_t)
+        if len(fits) > 1:
+            if abs(fits[-2] - fits[-1]) / max(fits[-2], 1e-15) < config.rel_tol:
                 converged = True
                 break
-        prev_fit = fit
 
     scales = np.linalg.norm(factors[2], axis=0)
     factors[2] = _unit_columns(factors[2], scales)
     cosines = [grams[0], grams[1], factors[2].T @ factors[2]]
     _merge_duplicates(factors, scales, cosines)
     order = np.argsort(-scales, kind="stable")
-    model = CpModel(
+    return CpModel(
         weights=scales[order],
         factors=tuple(f[:, order] for f in factors),
         diagnostics=CpDiagnostics(
-            fit_errors=tuple(fits), n_sweeps=n_sweeps, converged=converged
+            fit_errors=tuple(fits), n_sweeps=len(fits), converged=converged
         ),
     )
-    return model
 
 
 def reconstruct(model: CpModel) -> np.ndarray:

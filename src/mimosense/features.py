@@ -27,6 +27,7 @@ weight dropped.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -41,17 +42,16 @@ __all__ = [
     "CorrelationSet",
     "FeatureSet",
     "N_FEATURE_VECTORS",
-    "amp_phase_tensors",
     "assemble_input",
     "corr_per_antenna",
     "corr_per_subcarrier",
     "corr_per_time",
     "correlation_set",
     "extract_features",
+    "family_tensors",
     "feature_names",
     "load_features_bin",
     "load_features_csv",
-    "normalized_complex",
     "phase_reference",
     "save_features_bin",
     "save_features_csv",
@@ -117,38 +117,38 @@ class FeatureSet:
 
 def _hermitize(c: np.ndarray) -> np.ndarray:
     """Average each frontal slice with its conjugate transpose so the
-    Hermitian symmetry holds exactly despite gemm rounding."""
-    return 0.5 * (c + np.conj(np.transpose(c, (1, 0, 2))))
+    Hermitian symmetry holds exactly despite gemm rounding.  The result
+    keeps the layout numpy picks for the sum."""
+    h = c + np.conj(np.transpose(c, (1, 0, 2)))
+    np.multiply(0.5, h, out=h)
+    return h
+
+
+def _gram_pair(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For slices X_s of a C-contiguous (S, A, B) stack: X_s·X_s^H (A x A)
+    and X_s^H·X_s (B x B), each stacked along the third mode."""
+    xh = np.conj(np.transpose(x, (0, 2, 1)))
+    left = np.moveaxis(x @ xh, 0, 2)
+    right = np.moveaxis(xh @ x, 0, 2)
+    return _hermitize(left), _hermitize(right)
 
 
 def corr_per_antenna(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per antenna m, with G_m the T_w x F window slice: the Gram pair
     G_m·G_m^H (time x time) and G_m^H·G_m (freq x freq)."""
-    gm = np.ascontiguousarray(np.moveaxis(g, 2, 0))  # (M, T_w, F)
-    gmh = np.conj(np.transpose(gm, (0, 2, 1)))
-    time = np.moveaxis(gm @ gmh, 0, 2)
-    freq = np.moveaxis(gmh @ gm, 0, 2)
-    return _hermitize(time), _hermitize(freq)
+    return _gram_pair(np.ascontiguousarray(np.moveaxis(g, 2, 0)))
 
 
 def corr_per_subcarrier(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per subcarrier f, with G_f the T_w x M slice: G_f·G_f^H
     (time x time) and G_f^H·G_f (space x space)."""
-    gf = np.ascontiguousarray(np.moveaxis(g, 1, 0))  # (F, T_w, M)
-    gfh = np.conj(np.transpose(gf, (0, 2, 1)))
-    time = np.moveaxis(gf @ gfh, 0, 2)
-    space = np.moveaxis(gfh @ gf, 0, 2)
-    return _hermitize(time), _hermitize(space)
+    return _gram_pair(np.ascontiguousarray(np.moveaxis(g, 1, 0)))
 
 
 def corr_per_time(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per snapshot t, with G_t the F x M slice: G_t·G_t^H
     (freq x freq) and G_t^H·G_t (space x space)."""
-    gt = np.ascontiguousarray(g)  # (T_w, F, M)
-    gth = np.conj(np.transpose(gt, (0, 2, 1)))
-    freq = np.moveaxis(gt @ gth, 0, 2)
-    space = np.moveaxis(gth @ gt, 0, 2)
-    return _hermitize(freq), _hermitize(space)
+    return _gram_pair(np.ascontiguousarray(g))
 
 
 def correlation_set(g: np.ndarray) -> CorrelationSet:
@@ -159,51 +159,68 @@ def correlation_set(g: np.ndarray) -> CorrelationSet:
 
 
 def _slice_norms(x: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each frontal slice, shape (S,)."""
-    return np.sqrt(np.sum(np.abs(x) ** 2, axis=(0, 1)))
+    """Per-slice Frobenius norms of a real tensor, summed in memory order."""
+    return np.sqrt(np.sum(x * x, axis=(0, 1)))
+
+
+def _unwrap(p: np.ndarray, axis: int) -> np.ndarray:
+    """``np.unwrap(p, axis=axis)`` of a float64 array, bit for bit.  Unless
+    a step reaches π, np.unwrap only copies ``p`` in its layout and adds
+    +0.0 past the first element, turning -0.0 into +0.0."""
+    steps = np.diff(p, axis=axis)
+    if steps.size and not -np.pi < steps.min() <= steps.max() < np.pi:
+        return np.unwrap(p, axis=axis)
+    out = p.copy(order="K")
+    out[(slice(None),) * axis + (slice(1, None),)] += 0.0
+    return out
 
 
 def _unwrap_slices(ang: np.ndarray) -> np.ndarray:
     """2-D phase unwrap per frontal slice: along each row first, then
     the first column's unwrapped values shift whole rows (2π jumps,
     threshold π)."""
-    if ang.shape[1] > 1:
-        u = np.unwrap(ang, axis=1)
-    else:
-        u = ang.copy()
+    u = _unwrap(ang, axis=1) if ang.shape[1] > 1 else ang.copy()
     if ang.shape[0] > 1:
-        col = np.unwrap(u[:, 0, :], axis=0)
-        u = u + (col - u[:, 0, :])[:, None, :]
+        col = _unwrap(u[:, 0, :], axis=0)
+        u += (col - u[:, 0, :])[:, None, :]
     return u
 
 
-def amp_phase_tensors(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-slice normalized amplitude and unwrapped phase of a complex
-    tensor; zero-norm slices map to zero slices."""
+def _has_negative_zero(x: np.ndarray) -> bool:
+    """Whether ``x`` holds -0.0, the one float64 read as the least int64."""
+    return x.size > 0 and x.view(np.int64).min() == np.iinfo(np.int64).min
+
+
+def family_tensors(c: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The five real tensors of a complex correlation tensor C in slot
+    order, each in C's memory layout: |C| and the unwrapped phase, each
+    divided by its own per-slice Frobenius norm, then the real part, the
+    imaginary part and the modulus of C with each slice divided by its
+    Frobenius norm.  Zero-norm slices map to zero slices."""
     mag = np.abs(c)
-    a_norm = _slice_norms(mag)
-    a = mag / np.where(a_norm == 0.0, 1.0, a_norm)
+    norms = _slice_norms(mag)  # ‖|C|‖ = ‖C‖ bit for bit: same squares
+    norms[norms == 0.0] = 1.0
+    inv = 1.0 / norms
+    # numpy divides a complex by a real as (x + y·0)·(1/n), (y - x·0)·(1/n):
+    # x·(1/n) and y·(1/n) unless a part is -0.0.
+    re, im = c.real * inv, c.imag * inv
+    if _has_negative_zero(re) or _has_negative_zero(im):
+        ct = c / norms
+        re, im = ct.real.copy(), ct.imag.copy()
+    norm_amp = np.abs(c * inv)
+    mag /= norms
+    phase = _unwrap_slices(np.angle(c))
+    phase_norms = _slice_norms(phase)
+    phase_norms[phase_norms == 0.0] = 1.0
+    phase /= phase_norms
+    return mag, phase, re, im, norm_amp
 
-    u = _unwrap_slices(np.angle(c))
-    p_norm = _slice_norms(u)
-    p = u / np.where(p_norm == 0.0, 1.0, p_norm)
-    return a, p
 
-
-def normalized_complex(
-    c: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-slice Frobenius normalization of the complex tensor itself,
-    returned as entrywise (real, imaginary, magnitude) parts."""
-    norms = _slice_norms(c)
-    ct = c / np.where(norms == 0.0, 1.0, norms)
-    return ct.real.copy(), ct.imag.copy(), np.abs(ct)
-
-
+@functools.cache
 def _tensor_seed(base_seed: int, slot: int) -> int:
     """Per-slot ALS seed: a fixed function of the config seed and the
     feature slot only, so features stay comparable across window ids
-    and antenna truncations."""
+    and antenna truncations; cached, as a SeedSequence costs ~20 µs."""
     seq = np.random.SeedSequence(entropy=int(base_seed), spawn_key=(slot,))
     return int(seq.generate_state(1)[0])
 
@@ -232,9 +249,7 @@ def real_feature_tensors(g: np.ndarray) -> list[np.ndarray]:
     g = phase_reference(g)
     tensors: list[np.ndarray] = [np.abs(g)]
     for corr in correlation_set(g).in_slot_order():
-        a, p = amp_phase_tensors(corr)
-        re, im, amp = normalized_complex(corr)
-        tensors.extend((a, p, re, im, amp))
+        tensors.extend(family_tensors(corr))
     return tensors
 
 

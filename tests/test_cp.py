@@ -1,5 +1,10 @@
 """CP-ALS solver tests against construct-then-recover oracles."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import mimosense
 import mimosense.cp as cp
 from mimosense.cp import (
     AlsConfig,
@@ -128,6 +134,23 @@ def test_non_finite_tensor_rejected():
         cp_als(t, AlsConfig(rank=1))
 
 
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_nan_and_negative_inf_rejected(bad):
+    t = np.ones((3, 2, 2))
+    t[1, 0, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        cp_als(t, AlsConfig(rank=1))
+
+
+def test_finite_tensor_with_overflowing_norm_not_rejected():
+    # cp_als checks entries only when the norm is not finite; a norm that
+    # overflows on finite entries must not read as non-finite input.
+    t = np.full((2, 2, 2), 1e200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        model = cp_als(t, AlsConfig(rank=1, max_iters=2))
+    assert model.rank == 1
+
+
 def test_scale_equivariance():
     t, _ = rank3_oracle(seed=8)
     cfg = AlsConfig(rank=3, max_iters=300, rel_tol=1e-12, seed=1)
@@ -247,7 +270,8 @@ def test_tree_mttkrps_match_unfolding_oracle(dims):
 
     # Mode 3 contracts the unfolding with A and B, never forming B ⊙ A.
     want3 = unfold(t, 3) @ khatri_rao(b, a_raw)
-    assert rel_err(cp._mttkrp3(x3, a_raw, b, dims), want3) <= 1e-12
+    x1 = x3.reshape(dims[2] * dims[1], dims[0]).T
+    assert rel_err(cp._mttkrp3(x1, a_raw, b, dims), want3) <= 1e-12
 
 
 def cp_tensor(weights, factors):
@@ -354,6 +378,32 @@ def test_distinct_components_do_not_merge():
     assert_array_equal(scales, weights)
     for f, k in zip(factors, kept):
         assert_array_equal(f, k)
+
+
+def test_scipy_loads_only_when_a_fit_solves():
+    # Simulate, train-eval and control never fit CP, so importing the
+    # CLI must not pay for scipy.linalg; the first solve loads it.
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import mimosense.cli\n"
+        "assert 'scipy' not in sys.modules, 'scipy loaded at import'\n"
+        "from mimosense.cp import AlsConfig, cp_als, fit_error\n"
+        "rng = np.random.default_rng(0)\n"
+        "a, b, c = (rng.standard_normal((d, 2)) for d in (4, 5, 6))\n"
+        "t = np.einsum('ir,jr,kr->ijk', a, b, c)\n"
+        "model = cp_als(t, AlsConfig(rank=2, max_iters=200, rel_tol=1e-12))\n"
+        "assert fit_error(model, t) < 1e-6\n"
+        "assert 'scipy' in sys.modules\n"
+    )
+    src = str(Path(mimosense.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_solve_factor_equals_scipy_cholesky():
