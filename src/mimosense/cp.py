@@ -8,6 +8,7 @@ descending order are the feature primitive of the sensing pipeline.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -106,7 +107,9 @@ def _unit_columns(m: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
     if norms is None:
         # np.linalg.norm(m, axis=0)'s arithmetic, without its dispatch
         norms = np.sqrt(np.add.reduce(m * m, axis=0))
-    if norms.all():
+    # np.count_nonzero has under half the call cost of norms.all(), and
+    # this runs twice a sweep
+    if np.count_nonzero(norms) == norms.shape[0]:
         return m / norms
     dead = norms == 0.0
     m = m.copy()
@@ -115,30 +118,68 @@ def _unit_columns(m: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
     return m / np.where(dead, 1.0, norms)
 
 
+@functools.lru_cache(maxsize=256)
+def _init_factors(seed: int, dims: tuple[int, int, int], rank: int):
+    """Seeded i.i.d. standard normal factors with unit columns, read-only
+    and cached: a fit's draw depends on (seed, dims, rank) alone and
+    costs 20-50 µs, which small fits pay on every window.  The bound
+    holds a window's 31 slots at several antenna counts."""
+    rng = np.random.default_rng(seed)
+    factors = tuple(_unit_columns(rng.standard_normal((d, rank))) for d in dims)
+    for f in factors:
+        f.flags.writeable = False
+    return factors
+
+
+def _unfold3(t: np.ndarray) -> np.ndarray:
+    """The C-contiguous mode-3 unfolding (K, JI) of a (I, J, K) tensor,
+    the only copy of it a fit's sweeps read: a view of a Fortran-ordered
+    ``t``, else one transposing copy."""
+    return np.ascontiguousarray(t.transpose(2, 1, 0)).reshape(t.shape[2], -1)
+
+
+# The first-level nodes of the dimension tree: X contracted with one
+# factor, each laid out (R, m, n) (P and N as views) so that both MTTKRPs
+# read off it are batched matrix-vector products over its last two axes.
+
+
 def _partial_mode3(x3: np.ndarray, c: np.ndarray, dims) -> np.ndarray:
-    """The dimension-tree node ``P = X ×₃ Cᵀ`` of a (I, J, K) tensor from
-    its mode-3 unfolding ``x3``, laid out (R, J, I) so that
-    ``p[r, j, i] = Σ_k X[i, j, k] C[k, r]``."""
-    return (c.T @ x3).reshape(c.shape[1], dims[1], dims[0])
-
-
-def _mttkrp1(p: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Mode-1 MTTKRP ``X_(1) (C ⊙ B)`` from ``P`` (one GEMV per column)."""
-    return (b.T[:, None, :] @ p)[:, 0, :].T
-
-
-def _mttkrp2(p: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Mode-2 MTTKRP ``X_(2) (C ⊙ A)`` from the same ``P``."""
-    return (p @ a.T[:, :, None])[:, :, 0].T
-
-
-def _mttkrp3(x1: np.ndarray, a: np.ndarray, b: np.ndarray, dims) -> np.ndarray:
-    """Mode-3 MTTKRP ``X_(3) (B ⊙ A)`` without forming B ⊙ A: ``Q = X ×₁ Aᵀ``
-    from ``x1``, the (I, KJ) view ``x3.reshape(K * J, I).T`` of the mode-3
-    unfolding, laid out (R, K, J), then one GEMV per column."""
+    """``P = X ×₃ Cᵀ`` of a (I, J, K) tensor from its mode-3 unfolding
+    ``x3``: one batched GEMM of Cᵀ with the (J, K, I) view of ``x3``,
+    stored (J, R, I) and returned as its (R, J, I) view:
+    ``p[r, j, i] = Σ_k X[i, j, k] C[k, r]``.  The single GEMM
+    ``c.T @ x3`` forms the same node but measured slower on the large
+    slot tensors, such as (T_w, T_w, M)."""
     _, j, k = dims
-    q = (a.T @ x1).reshape(a.shape[1], k, j)
-    return (q @ b.T[:, :, None])[:, :, 0].T
+    return (c.T @ x3.reshape(k, j, -1).transpose(1, 0, 2)).transpose(1, 0, 2)
+
+
+def _partial_mode2(x3: np.ndarray, b: np.ndarray, dims) -> np.ndarray:
+    """``N = X ×₂ Bᵀ``: one batched GEMM of Bᵀ with the (K, J, I) view of
+    ``x3``, stored (K, R, I) and returned as its (R, K, I) view:
+    ``n[r, k, i] = Σ_j X[i, j, k] B[j, r]``."""
+    _, j, k = dims
+    return (b.T @ x3.reshape(k, j, -1)).transpose(1, 0, 2)
+
+
+def _partial_mode1(x1: np.ndarray, a: np.ndarray, dims) -> np.ndarray:
+    """``Q = X ×₁ Aᵀ`` from ``x1``, the (I, KJ) view
+    ``x3.reshape(K * J, I).T`` of the mode-3 unfolding, laid out
+    (R, K, J): ``q[r, k, j] = Σ_i X[i, j, k] A[i, r]``."""
+    _, j, k = dims
+    return (a.T @ x1).reshape(a.shape[1], k, j)
+
+
+def _contract_middle(node: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The MTTKRP read off a (R, m, n) node by contracting its middle
+    axis with ``f`` (m, R), one GEMV per column: (n, R)."""
+    return (f.T[:, None, :] @ node)[:, 0, :].T
+
+
+def _contract_last(node: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The MTTKRP read off a (R, m, n) node by contracting its last axis
+    with ``f`` (n, R), one GEMV per column: (m, R)."""
+    return (node @ f.T[:, :, None])[:, :, 0].T
 
 
 def _dposv(*args):
@@ -284,33 +325,49 @@ def cp_als(tensor, config: AlsConfig) -> CpModel:
     seeded i.i.d. standard normal columns (normalized), so identical
     (tensor, config) pairs reproduce bit-identical models.
 
-    The sweep keeps one copy of the tensor, its mode-3 unfolding, and
-    contracts it twice, not once per mode (a dimension tree; Phan,
-    Tichavský & Cichocki 2013, Kaya & Uçar 2018).  The mode-1 and mode-2
-    MTTKRPs both contract X with C, which changes between them only by
-    the column scale the mode-1 update moves onto it; C is rescaled only
-    then, since mode 3 replaces it from A and B alone.  So the sweep
-    forms P = X ×₃ Cᵀ once and reads both MTTKRPs off P: mode 1
-    contracts it with B, mode 2 with the unnormalized mode-1 solution,
-    whose column norms are that scale.  Mode 3 forms Q = X ×₁ Aᵀ and
-    contracts it with B in one batched product, never forming B ⊙ A
-    (Hayashi, Ballard, Jiang & Tobia 2018).
+    The sweeps keep one copy of the tensor, its mode-3 unfolding, and
+    read every MTTKRP off a first-level node of a dimension tree: X
+    contracted with one factor, which serves the updates of the other
+    two modes for as long as that factor stays unchanged (Phan,
+    Tichavský & Cichocki 2013; Kaya & Uçar 2018).  In the update order
+    A, B, C, A, B, C, ... each node serves two consecutive updates, so
+    three nodes cover two sweeps, which run in pairs (the multi-sweep
+    dimension tree of Ma & Solomonik 2021):
 
-    The residual after a sweep comes from the Gram identity (Kolda &
-    Bader, SIAM Review 2009; the fit step of Tensor Toolbox ``cp_als``)
+    * first sweep: P = X ×₃ Cᵀ serves A (contracted with B) and B (with
+      A); N = X ×₂ Bᵀ, formed once B is updated, serves C (with A);
+    * second sweep: the same N serves A (with C), since B has not
+      changed; Q = X ×₁ Aᵀ serves B (with C) and C (with B).
+
+    So a pair of sweeps contracts the tensor three times instead of
+    four: a 16-sweep fit 24 times.  No node outlives the updates it
+    serves, so a fit that stops after either sweep wasted no
+    contraction.  P and N are batched GEMMs over slabs of the
+    unfolding, Q one wide GEMM, and no sweep forms a Khatri-Rao product
+    (Hayashi, Ballard, Jiang & Tobia 2018).  The mode-1 update moves its
+    column scales onto C, keeping the represented tensor; P predates
+    that move, so the mode-2 update contracts P with the unnormalized
+    mode-1 solution, whose column norms are that scale.
+
+    Every update solves the normal equations of plain ALS with the same
+    Gram matrices; only the order of the sums in its MTTKRP depends on
+    the node, so the iterates are plain ALS's up to rounding.  The
+    residual after a sweep comes from the Gram identity (Kolda & Bader,
+    SIAM Review 2009; the fit step of Tensor Toolbox ``cp_als``)
 
         ||X - [[A, B, C]]||^2 = ||X||^2 - 2<C, X_(3) (B ⊙ A)>
                                 + sum((A^T A * B^T B) * C^T C),
 
-    which reuses the MTTKRP and the Gram matrix of the mode-3 update and
-    so costs O(R^2 (I + J + K)) instead of the O(IJKR) of forming the
-    model densely.  Its rounding error is absolute, a few ulps of
-    ||X||^2, so near an exact fit it would swamp the residual and could
-    make the fit history rise.  Once the identity puts the squared
-    residual at or below ``_DENSE_RESIDUAL_BELOW`` of ||X||^2 (a relative
-    fit of 1e-3), the sweep recomputes it densely.  Either way the fit
-    only decides when to stop; the factors, and so the weights, do not
-    depend on which residual was taken.
+    which reuses the mode-3 MTTKRP, whichever node gave it, and the Gram
+    matrix of the mode-3 update, and so costs O(R^2 (I + J + K)) instead
+    of the O(IJKR) of forming the model densely.  Its rounding error is
+    absolute, a few ulps of ||X||^2, so near an exact fit it would swamp
+    the residual and could make the fit history rise.  Once the identity
+    puts the squared residual at or below ``_DENSE_RESIDUAL_BELOW`` of
+    ||X||^2 (a relative fit of 1e-3), the sweep recomputes it densely.
+    Either way the fit only decides when to stop, after any sweep; the
+    factors, and so the weights, do not depend on which residual was
+    taken.  ||X|| is summed over the unfolding in memory order.
 
     Over-rank fits leave components that share directions, with an
     arbitrary split of the weight.  After the last sweep
@@ -325,11 +382,12 @@ def cp_als(tensor, config: AlsConfig) -> CpModel:
     t = np.asarray(tensor, dtype=np.float64)
     if t.ndim != 3:
         raise ValueError(f"expected a third-order tensor, got ndim={t.ndim}")
-    norm_t = frobenius_norm(t)
-    # A finite norm rules out inf and NaN entries without a pass of its own.
-    if not math.isfinite(norm_t) and not np.isfinite(t).all():
-        raise ValueError("tensor has non-finite entries")
     dims = t.shape
+    x3 = _unfold3(t)
+    norm_t = float(np.linalg.norm(x3))
+    # A finite norm rules out inf and NaN entries without a pass of its own.
+    if not math.isfinite(norm_t) and not np.isfinite(x3).all():
+        raise ValueError("tensor has non-finite entries")
     bound = rank_upper_bound(dims)
     if config.rank > bound:
         raise ValueError(
@@ -337,21 +395,15 @@ def cp_als(tensor, config: AlsConfig) -> CpModel:
             f"for dims {dims}"
         )
 
-    rng = np.random.default_rng(config.seed)
-    factors = [
-        _unit_columns(rng.standard_normal((d, config.rank))) for d in dims
-    ]
+    factors = list(_init_factors(config.seed, dims, config.rank))
 
     if norm_t == 0.0:
         return CpModel(
             weights=np.zeros(config.rank),
-            factors=tuple(factors),
+            factors=tuple(f.copy() for f in factors),
             diagnostics=CpDiagnostics(degenerate=True, converged=True),
         )
 
-    # The only copy of the tensor every sweep reads: the mode-3 unfolding,
-    # a view of a Fortran-ordered t, else one transposing copy.
-    x3 = np.ascontiguousarray(t.transpose(2, 1, 0)).reshape(dims[2], -1)
     x1 = x3.reshape(dims[2] * dims[1], dims[0]).T
 
     norm_sq = norm_t * norm_t
@@ -361,9 +413,14 @@ def cp_als(tensor, config: AlsConfig) -> CpModel:
 
     fits: list[float] = []
     converged = False
-    for _ in range(config.max_iters):
-        p = _partial_mode3(x3, factors[2], dims)
-        raw = _solve_factor(grams[1] * grams[2], _mttkrp1(p, factors[1]))
+    for sweep in range(config.max_iters):
+        first = sweep % 2 == 0  # the first sweep of a pair
+        if first:
+            p = _partial_mode3(x3, factors[2], dims)
+            mttkrp = _contract_middle(p, factors[1])
+        else:  # B is unchanged since N was formed
+            mttkrp = _contract_middle(n, factors[2])
+        raw = _solve_factor(grams[1] * grams[2], mttkrp)
         # Move the column scales onto the third factor so the
         # represented tensor is unchanged and each exact update only
         # lowers the residual.
@@ -372,11 +429,19 @@ def cp_als(tensor, config: AlsConfig) -> CpModel:
         grams[2] = factors[2].T @ factors[2]
         factors[0] = _unit_columns(raw, norms)
         grams[0] = factors[0].T @ factors[0]
-        raw = _solve_factor(grams[0] * grams[2], _mttkrp2(p, raw))
-        factors[1] = _unit_columns(raw)
+        if first:  # P predates C's rescale, so contract it with raw A
+            mttkrp = _contract_last(p, raw)
+        else:
+            q = _partial_mode1(x1, factors[0], dims)
+            mttkrp = _contract_middle(q, factors[2])
+        factors[1] = _unit_columns(_solve_factor(grams[0] * grams[2], mttkrp))
         grams[1] = factors[1].T @ factors[1]
+        if first:  # N serves this C update and the next A update
+            n = _partial_mode2(x3, factors[1], dims)
+            mttkrp = _contract_last(n, factors[0])
+        else:
+            mttkrp = _contract_last(q, factors[1])
         gram = grams[0] * grams[1]
-        mttkrp = _mttkrp3(x1, factors[0], factors[1], dims)
         factors[2] = _solve_factor(gram, mttkrp)
         grams[2] = factors[2].T @ factors[2]
         resid_sq = (

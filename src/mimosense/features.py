@@ -104,11 +104,16 @@ class CorrelationSet:
 @dataclass(frozen=True)
 class FeatureSet:
     """CP-weight vectors of one window: row i is feature vector i,
-    descending-sorted and zero-padded to the shared rank."""
+    descending-sorted and zero-padded to the shared rank.  ``n_sweeps``
+    and ``converged`` hold each slot's CP diagnostics when the set was
+    just extracted; the feature files do not store them, so loaded sets
+    leave them empty."""
 
     lambdas: np.ndarray  # (31, r_max)
     window_id: int
     label: Activity | None
+    n_sweeps: tuple[int, ...] = ()
+    converged: tuple[bool, ...] = ()
 
     @property
     def r_max(self) -> int:
@@ -262,13 +267,15 @@ def extract_features(
     """CP-decompose the window's 31 real tensors into weight vectors.
 
     Each tensor is fitted at rank min(als.rank, rank_upper_bound(dims))
-    and its sorted weights are zero-padded to als.rank.  Raises
+    and its sorted weights are zero-padded to als.rank; each fit's sweep
+    count and convergence flag are kept per slot.  Raises
     NumericError if any fit diverges (non-finite residual).
     """
     g = np.asarray(g)
     if g.ndim != 3:
         raise ValueError(f"expected a third-order window, got ndim={g.ndim}")
     lambdas = np.zeros((N_FEATURE_VECTORS, als.rank))
+    diagnostics = []
     for slot, tensor in enumerate(real_feature_tensors(g)):
         r_eff = min(als.rank, rank_upper_bound(tensor.shape))
         cfg = replace(als, rank=r_eff, seed=_tensor_seed(als.seed, slot))
@@ -279,7 +286,14 @@ def extract_features(
                 f"({feature_names()[slot]})"
             )
         lambdas[slot, :r_eff] = sorted_weights(model)
-    return FeatureSet(lambdas=lambdas, window_id=window_id, label=label)
+        diagnostics.append(model.diagnostics)
+    return FeatureSet(
+        lambdas=lambdas,
+        window_id=window_id,
+        label=label,
+        n_sweeps=tuple(d.n_sweeps for d in diagnostics),
+        converged=tuple(d.converged for d in diagnostics),
+    )
 
 
 def assemble_input(fs: FeatureSet) -> np.ndarray:

@@ -27,6 +27,7 @@ from .features import (
     FeatureSet,
     assemble_input,
     extract_features,
+    feature_names,
     load_features_bin,
     save_features_bin,
     save_features_csv,
@@ -279,7 +280,8 @@ def _featurize_dataset(
 
 def run_featurize(manifest: ExperimentManifest, workers: int = 1) -> Path:
     """interpolate → segment → CP features for every record window;
-    writes the CSV/binary feature tables plus a count summary."""
+    writes the CSV/binary feature tables plus a summary of the counts and
+    of each slot's CP fits (total sweeps, converged fits)."""
     feats = _featurize_dataset(manifest, workers=workers)
     out = _mkdir(features_dir(manifest))
     try:
@@ -291,6 +293,10 @@ def run_featurize(manifest: ExperimentManifest, workers: int = 1) -> Path:
     for fs in feats:
         name = fs.label.name if fs.label is not None else "UNLABELED"
         per_class[name] = per_class.get(name, 0) + 1
+    # Per-slot CP diagnostics over every window: deterministic, so they
+    # may sit beside the features without breaking reproducible outputs.
+    sweeps = np.sum([fs.n_sweeps for fs in feats], axis=0)
+    converged = np.sum([fs.converged for fs in feats], axis=0)
     _write_json(
         out / "summary.json",
         {
@@ -299,6 +305,10 @@ def run_featurize(manifest: ExperimentManifest, workers: int = 1) -> Path:
             "t_w": manifest.t_w,
             "r_max": manifest.r_max,
             "input_width": N_FEATURE_VECTORS * (manifest.r_max - 1),
+            "cp_fits": [
+                {"slot": name, "sweeps": int(s), "converged": int(c)}
+                for name, s, c in zip(feature_names(), sweeps, converged)
+            ],
         },
     )
     logger.info("featurized %d windows into %s", len(feats), out)

@@ -23,7 +23,7 @@ from mimosense.cp import (
     reconstruct,
     sorted_weights,
 )
-from mimosense.tensor_ops import khatri_rao, unfold
+from mimosense.tensor_ops import frobenius_norm, khatri_rao, unfold
 
 
 def build_cp_tensor(weights, factors):
@@ -254,24 +254,95 @@ def test_tree_mttkrps_match_unfolding_oracle(dims):
     t = rng.standard_normal(dims)
     a_raw, b, c = (rng.standard_normal((d, 10)) for d in dims)
     a_raw[:, 3] = 0.0  # a dead mode-1 solution column
-    x3 = np.ascontiguousarray(unfold(t, 3))
+    a = cp._unit_columns(a_raw)
+    x3 = cp._unfold3(t)
+    x1 = x3.reshape(dims[2] * dims[1], dims[0]).T
+
+    # The three first-level nodes, each X contracted with one factor.
     p = cp._partial_mode3(x3, c, dims)
+    n = cp._partial_mode2(x3, b, dims)
+    q = cp._partial_mode1(x1, a_raw, dims)
+    assert rel_err(p, np.einsum("ijk,kr->rji", t, c)) <= 1e-12
+    assert rel_err(n, np.einsum("ijk,jr->rki", t, b)) <= 1e-12
+    assert rel_err(q, np.einsum("ijk,ir->rkj", t, a_raw)) <= 1e-12
+    assert_array_equal(q[3], 0.0)
 
+    # P serves modes 1 and 2.  The sweep's mode-2 update sees A
+    # normalized (the dead column as e1) and C scaled by A's column
+    # norms (the dead column zeroed), and contracts P with A unscaled.
     want1 = unfold(t, 1) @ khatri_rao(c, b)
-    assert rel_err(cp._mttkrp1(p, b), want1) <= 1e-12
-
-    # The sweep's mode-2 update sees A normalized (the dead column as
-    # e1) and C scaled by A's column norms (the dead column zeroed).
+    assert rel_err(cp._contract_middle(p, b), want1) <= 1e-12
     norms = np.linalg.norm(a_raw, axis=0)
-    want2 = unfold(t, 2) @ khatri_rao(c * norms, cp._unit_columns(a_raw))
-    got2 = cp._mttkrp2(p, a_raw)
+    want2 = unfold(t, 2) @ khatri_rao(c * norms, a)
+    got2 = cp._contract_last(p, a_raw)
     assert rel_err(got2, want2) <= 1e-12
     assert_array_equal(got2[:, 3], 0.0)
 
-    # Mode 3 contracts the unfolding with A and B, never forming B ⊙ A.
+    # N serves modes 3 and 1, Q modes 2 and 3; no sweep forms a
+    # Khatri-Rao product.
     want3 = unfold(t, 3) @ khatri_rao(b, a_raw)
-    x1 = x3.reshape(dims[2] * dims[1], dims[0]).T
-    assert rel_err(cp._mttkrp3(x1, a_raw, b, dims), want3) <= 1e-12
+    got3 = cp._contract_last(n, a_raw)
+    assert rel_err(got3, want3) <= 1e-12
+    assert_array_equal(got3[:, 3], 0.0)
+    assert rel_err(cp._contract_middle(n, c), want1) <= 1e-12
+    want2 = unfold(t, 2) @ khatri_rao(c, a_raw)
+    assert rel_err(cp._contract_middle(q, c), want2) <= 1e-12
+    assert rel_err(cp._contract_last(q, b), want3) <= 1e-12
+
+
+@pytest.mark.parametrize("max_iters,contractions", [(16, 24), (1, 2), (5, 8)])
+def test_sweep_pairs_share_three_contractions(monkeypatch, max_iters, contractions):
+    # A pair of sweeps forms P, N and Q once each; a fit cut after the
+    # first sweep of a pair has formed P and N.
+    calls = dict.fromkeys(("_partial_mode1", "_partial_mode2", "_partial_mode3"), 0)
+    for name in calls:
+        real = getattr(cp, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(cp, name, counted)
+    t = np.random.default_rng(11).standard_normal((6, 7, 8))
+    model = cp_als(t, AlsConfig(rank=4, max_iters=max_iters, rel_tol=1e-300))
+    assert not model.diagnostics.converged
+    assert model.diagnostics.n_sweeps == max_iters
+    assert sum(calls.values()) == contractions
+    pairs, odd = divmod(max_iters, 2)
+    assert calls == {
+        "_partial_mode1": pairs,
+        "_partial_mode2": pairs + odd,
+        "_partial_mode3": pairs + odd,
+    }
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("dims", [(100, 100, 32), (7, 1, 5), (3, 4, 1)])
+def test_unfolding_norm_matches_frobenius_norm(dims, order):
+    t = np.asarray(
+        np.random.default_rng(sum(dims)).standard_normal(dims), order=order
+    )
+    x3 = cp._unfold3(t)
+    assert_array_equal(x3, unfold(t, 3))
+    # A Fortran-ordered tensor's unfolding is a view: no copy for the norm.
+    assert np.shares_memory(x3, t) == (order == "F")
+    assert_allclose(np.linalg.norm(x3), frobenius_norm(t), rtol=1e-15)
+
+
+def test_init_factors_are_a_read_only_seeded_draw():
+    dims, rank, seed = (6, 5, 4), 3, 1234
+    got = cp._init_factors(seed, dims, rank)
+    assert cp._init_factors(seed, dims, rank) is got
+    rng = np.random.default_rng(seed)
+    for d, f in zip(dims, got):
+        draw = rng.standard_normal((d, rank))
+        assert_array_equal(f, draw / np.linalg.norm(draw, axis=0))
+        assert not f.flags.writeable
+    # The zero-tensor return hands out copies, not the memo's arrays.
+    model = cp_als(np.zeros(dims), AlsConfig(rank=rank, seed=seed))
+    for f, cached in zip(model.factors, got):
+        assert_array_equal(f, cached)
+        assert f.flags.writeable and not np.shares_memory(f, cached)
 
 
 def cp_tensor(weights, factors):

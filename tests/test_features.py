@@ -397,6 +397,26 @@ def test_extract_features_zero_window():
         np.zeros((4, 3, 3), dtype=complex), AlsConfig(rank=2, max_iters=5)
     )
     assert_array_equal(fs.lambdas, np.zeros((31, 2)))
+    # A zero tensor needs no sweep and counts as converged.
+    assert fs.n_sweeps == (0,) * 31
+    assert fs.converged == (True,) * 31
+
+
+def test_extract_features_keeps_each_slots_cp_diagnostics(monkeypatch):
+    diagnostics = []
+    real = features.cp_als
+
+    def keep(tensor, cfg):
+        model = real(tensor, cfg)
+        diagnostics.append(model.diagnostics)
+        return model
+
+    monkeypatch.setattr(features, "cp_als", keep)
+    fs = extract_features(small_window(seed=3), AlsConfig(rank=3, max_iters=40))
+    assert fs.n_sweeps == tuple(d.n_sweeps for d in diagnostics)
+    assert fs.converged == tuple(d.converged for d in diagnostics)
+    # Both outcomes occur, so the test tells the two fields apart.
+    assert 0 < sum(fs.converged) < 31
 
 
 def test_extract_features_rank_one_leading_weight():
@@ -443,11 +463,12 @@ def test_extract_features_deterministic():
     assert_array_equal(f1.lambdas, f2.lambdas)
 
 
-# sha256 of extract_features(...).lambdas.tobytes() as the dimension-
-# tree ALS sweep computes it (one P = X x3 C per sweep serving the mode-1
-# and mode-2 MTTKRPs, and a mode-3 MTTKRP formed as X x1 A then
-# contracted with B, never through B ⊙ A), with the two-mode and
-# shared-mode-group merges.
+# sha256 of extract_features(...).lambdas.tobytes() as the multi-sweep
+# dimension tree computes it (each pair of sweeps forms P = X x3 C for
+# the first sweep's mode-1 and mode-2 MTTKRPs, N = X x2 B for its mode-3
+# and the next sweep's mode-1 MTTKRP, and Q = X x1 A for the second
+# sweep's mode-2 and mode-3 MTTKRPs, never through a Khatri-Rao
+# product), with the two-mode and shared-mode-group merges.
 # Speed-ups to feature extraction must leave the features bit-identical:
 # the stored feature files, the trained model and every reported
 # accuracy derive from these bytes.  A change that moves a hash changes
@@ -464,13 +485,13 @@ def test_extract_features_deterministic():
             (12, 6, 5),
             6,
             False,
-            "82760891e3fe66d313e408f40fd638a45a2b83488a93cda0b9c8b2038d1e911b",
+            "9a4dbff5100f5c4b1420de052ba7011eba52f23e35d7ee2c7b2d286a4eab1fe0",
         ),
         (
             (8, 3, 2),
             4,
             True,
-            "251511e9e30b73bb1c4ff5ec1c1454c1d17aa891585d774858f03f8946f3d00e",
+            "5c4f48d29ef5a4fc6adb3a03a97d99a797ac27234182395c29ec7e2c5f161d6a",
         ),
     ],
     ids=["random", "near_rank_one"],

@@ -17,6 +17,7 @@ import pytest
 from mimosense.channel import Activity, load_record
 from mimosense.errors import DataError
 from mimosense.features import (
+    feature_names,
     load_features_bin,
     load_features_csv,
     save_features_bin,
@@ -25,6 +26,7 @@ from mimosense.manifest import manifest_from_dict
 from mimosense.nn import load_model, split
 from mimosense.pipeline import (
     _dataset_from_features,
+    _featurize_dataset,
     control_dir,
     dataset_dir,
     features_dir,
@@ -160,6 +162,26 @@ def test_featurize_row_counts_and_labels(man, features):
     assert summary["rows"] == 20
     assert all(v == 4 for v in summary["per_class"].values())
     assert summary["input_width"] == 31
+
+
+def test_featurize_summary_reports_cp_fits_per_slot(man, features):
+    summary = json.loads((features / "summary.json").read_text())
+    fits = summary["cp_fits"]
+    assert [f["slot"] for f in fits] == feature_names()
+    # The feature files keep no diagnostics; a fresh extraction has them.
+    assert load_features_bin(features / "features.bin")[0].n_sweeps == ()
+    feats = _featurize_dataset(man)
+    assert [f["sweeps"] for f in fits] == [
+        sum(fs.n_sweeps[slot] for fs in feats) for slot in range(31)
+    ]
+    assert [f["converged"] for f in fits] == [
+        sum(fs.converged[slot] for fs in feats) for slot in range(31)
+    ]
+    # 20 fits per slot (max_iters=3): one that did not converge ran 3
+    # sweeps, one that did ran 2 or 3.
+    for f in fits:
+        assert 60 - f["converged"] <= f["sweeps"] <= 60
+    assert any(f["converged"] for f in fits)
 
 
 def test_featurize_csv_and_bin_agree(features):
