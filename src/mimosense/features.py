@@ -15,8 +15,8 @@ the window along one mode:
   slots 26-30   space x space correlation per snapshot (M, M, T_w)
 
 In each family the ``amp`` and ``norm_amp`` slots hold the same tensor
-up to rounding (‖|C|‖_F = ‖C‖_F, so |C| / ‖|C|‖ = |C / ‖C‖|); their two
-fits differ only in the ALS seed.
+(‖|C|‖_F = ‖C‖_F, so |C| / ‖|C|‖ = |C / ‖C‖|): it is built once and
+serves both slots, whose two fits differ only in the ALS seed.
 
 Every real tensor is CP-decomposed and its descending weight vector
 (zero-padded to the requested rank) becomes one feature vector; the
@@ -191,34 +191,25 @@ def _unwrap_slices(ang: np.ndarray) -> np.ndarray:
     return u
 
 
-def _has_negative_zero(x: np.ndarray) -> bool:
-    """Whether ``x`` holds -0.0, the one float64 read as the least int64."""
-    return x.size > 0 and x.view(np.int64).min() == np.iinfo(np.int64).min
-
-
 def family_tensors(c: np.ndarray) -> tuple[np.ndarray, ...]:
     """The five real tensors of a complex correlation tensor C in slot
     order, each in C's memory layout: |C| and the unwrapped phase, each
-    divided by its own per-slice Frobenius norm, then the real part, the
-    imaginary part and the modulus of C with each slice divided by its
-    Frobenius norm.  Zero-norm slices map to zero slices."""
+    divided by its own per-slice Frobenius norm, then the real and the
+    imaginary part of C with each slice divided by its Frobenius norm.
+    As ‖|C|‖ = ‖C‖, the modulus of that normalized C is the first
+    tensor, and the same array fills the ``norm_amp`` slot.  Zero-norm
+    slices map to zero slices."""
     mag = np.abs(c)
     norms = _slice_norms(mag)  # ‖|C|‖ = ‖C‖ bit for bit: same squares
     norms[norms == 0.0] = 1.0
     inv = 1.0 / norms
-    # numpy divides a complex by a real as (x + y·0)·(1/n), (y - x·0)·(1/n):
-    # x·(1/n) and y·(1/n) unless a part is -0.0.
     re, im = c.real * inv, c.imag * inv
-    if _has_negative_zero(re) or _has_negative_zero(im):
-        ct = c / norms
-        re, im = ct.real.copy(), ct.imag.copy()
-    norm_amp = np.abs(c * inv)
     mag /= norms
     phase = _unwrap_slices(np.angle(c))
     phase_norms = _slice_norms(phase)
     phase_norms[phase_norms == 0.0] = 1.0
     phase /= phase_norms
-    return mag, phase, re, im, norm_amp
+    return mag, phase, re, im, mag
 
 
 @functools.cache
@@ -313,25 +304,40 @@ def _label_from_int(value: int) -> Activity | None:
     return None if value == -1 else Activity(value)
 
 
-def save_features_csv(path, feature_sets) -> None:
-    """One row per window: window_id, label, then the 31·r_max weights
-    in slot order."""
+def _feature_rows(feature_sets) -> tuple[np.ndarray, int]:
+    """The float64 rows (window_id, label, the 31·r_max weights in slot
+    order) that both feature files store, and r_max; raises ValueError
+    on an empty input or on mixed r_max."""
     feature_sets = list(feature_sets)
     if not feature_sets:
         raise ValueError("refusing to write an empty feature file")
     r_max = feature_sets[0].r_max
+    if any(fs.r_max != r_max for fs in feature_sets):
+        raise ValueError("mixed r_max across feature sets")
+    rows = np.empty(
+        (len(feature_sets), 2 + N_FEATURE_VECTORS * r_max), dtype="<f8"
+    )
+    for i, fs in enumerate(feature_sets):
+        rows[i, 0] = fs.window_id
+        rows[i, 1] = _label_int(fs.label)
+        rows[i, 2:] = fs.lambdas.reshape(-1)
+    return rows, r_max
+
+
+def save_features_csv(path, feature_sets) -> None:
+    """One row per window: window_id, label, then the 31·r_max weights
+    in slot order."""
+    rows, r_max = _feature_rows(feature_sets)
     header = ["window_id", "label"]
     for name in feature_names():
         header.extend(f"{name}[{j}]" for j in range(r_max))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for fs in feature_sets:
-            if fs.r_max != r_max:
-                raise ValueError("mixed r_max across feature sets")
-            row = [fs.window_id, _label_int(fs.label)]
-            row.extend(repr(float(x)) for x in fs.lambdas.reshape(-1))
-            writer.writerow(row)
+        for row in rows:
+            writer.writerow(
+                [int(row[0]), int(row[1])] + list(map(repr, row[2:].tolist()))
+            )
 
 
 def load_features_csv(path) -> list[FeatureSet]:
@@ -364,23 +370,13 @@ def load_features_csv(path) -> list[FeatureSet]:
 def save_features_bin(path, feature_sets) -> None:
     """Compact binary twin of the CSV: little-endian float64 rows of
     (window_id, label, weights…), described by a JSON schema sidecar."""
-    feature_sets = list(feature_sets)
-    if not feature_sets:
-        raise ValueError("refusing to write an empty feature file")
-    r_max = feature_sets[0].r_max
-    rows = np.empty(
-        (len(feature_sets), 2 + N_FEATURE_VECTORS * r_max), dtype="<f8"
-    )
-    for i, fs in enumerate(feature_sets):
-        rows[i, 0] = fs.window_id
-        rows[i, 1] = _label_int(fs.label)
-        rows[i, 2:] = fs.lambdas.reshape(-1)
+    rows, r_max = _feature_rows(feature_sets)
     path = Path(path)
     path.write_bytes(rows.tobytes())
     schema = {
         "format": "mimosense-features",
         "version": 1,
-        "rows": len(feature_sets),
+        "rows": len(rows),
         "r_max": r_max,
         "dtype": "<f8",
         "row_layout": ["window_id", "label"]

@@ -69,57 +69,56 @@ CONTROL_BOUNDS = (0.35, 0.65)
 # ------------------------------------------------------- content addressing
 
 
-def _digest(payload: dict) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+def _addressed(manifest: ExperimentManifest, prefix: str, **inputs) -> Path:
+    """``<output_dir>/<prefix>-<key>``, the key a hash of ``inputs``."""
+    blob = json.dumps(inputs, sort_keys=True, separators=(",", ":"))
+    key = hashlib.sha256(blob.encode()).hexdigest()[:12]
+    return Path(manifest.output_dir) / f"{prefix}-{key}"
 
 
 def dataset_dir(manifest: ExperimentManifest) -> Path:
     full = canonical_dict(manifest)
-    key = _digest(
-        {
-            "sim": full["sim"],
-            "experiments": full["experiments_per_activity"],
-        }
+    return _addressed(
+        manifest,
+        "dataset",
+        sim=full["sim"],
+        experiments=full["experiments_per_activity"],
     )
-    return Path(manifest.output_dir) / f"dataset-{key}"
 
 
 def features_dir(manifest: ExperimentManifest) -> Path:
     full = canonical_dict(manifest)
-    key = _digest(
-        {
-            "dataset": dataset_dir(manifest).name,
-            "t_w": full["t_w"],
-            "r_max": full["r_max"],
-            "als": full["als"],
-        }
+    return _addressed(
+        manifest,
+        "features",
+        dataset=dataset_dir(manifest).name,
+        t_w=full["t_w"],
+        r_max=full["r_max"],
+        als=full["als"],
     )
-    return Path(manifest.output_dir) / f"features-{key}"
+
+
+def _trained_dir(manifest: ExperimentManifest, prefix: str, **inputs) -> Path:
+    """An output of training on the features: keyed by the features
+    directory's name, the train block and ``inputs``."""
+    train = canonical_dict(manifest)["train"]
+    return _addressed(
+        manifest, prefix, features=features_dir(manifest).name, train=train, **inputs
+    )
 
 
 def report_dir(manifest: ExperimentManifest) -> Path:
-    train = canonical_dict(manifest)["train"]
-    key = _digest({"features": features_dir(manifest).name, "train": train})
-    return Path(manifest.output_dir) / f"report-{key}"
+    return _trained_dir(manifest, "report")
 
 
 def sweep_dir(manifest: ExperimentManifest) -> Path:
-    full = canonical_dict(manifest)
-    key = _digest(
-        {
-            "features": features_dir(manifest).name,
-            "train": full["train"],
-            "sweep": full["antenna_sweep"],
-        }
+    return _trained_dir(
+        manifest, "sweep", sweep=canonical_dict(manifest)["antenna_sweep"]
     )
-    return Path(manifest.output_dir) / f"sweep-{key}"
 
 
 def control_dir(manifest: ExperimentManifest) -> Path:
-    train = canonical_dict(manifest)["train"]
-    key = _digest({"features": features_dir(manifest).name, "train": train})
-    return Path(manifest.output_dir) / f"control-{key}"
+    return _trained_dir(manifest, "control")
 
 
 # ----------------------------------------------------------------- helpers
@@ -236,7 +235,7 @@ def _featurize_one(job):
     if m_keep is not None and m_keep < record.tensor.shape[2]:
         record = truncate_antennas(record, m_keep)
     clean = interpolate_lost_frames(record.tensor, record.mask)
-    windowed = segment(clean, t_w, label=record.label)
+    windowed = segment(clean, t_w)
     k = len(windowed.windows)
     out = [
         extract_features(
@@ -262,10 +261,9 @@ def _featurize_dataset(
         (str(path), int(path.stem.split("-")[1]), manifest.t_w, manifest.als, m_keep)
         for path in files
     ]
-    results = sorted(_pool_map(_featurize_one, jobs, workers), key=lambda r: r[0])
     feature_sets: list[FeatureSet] = []
     skipped = 0
-    for rec_idx, feats, problem in results:
+    for rec_idx, feats, problem in _pool_map(_featurize_one, jobs, workers):
         if problem is not None:
             skipped += 1
             logger.warning("skipping record %04d: %s", rec_idx, problem)
@@ -368,11 +366,15 @@ def _train_eval_features(feature_sets, manifest: ExperimentManifest) -> dict:
     }
 
 
-def run_train_eval(manifest: ExperimentManifest) -> dict:
+def _load_features(manifest: ExperimentManifest) -> list[FeatureSet]:
     source = features_dir(manifest) / "features.bin"
     if not source.exists():
         raise DataError(f"features not found at {source}; run featurize first")
-    feats = load_features_bin(source)
+    return load_features_bin(source)
+
+
+def run_train_eval(manifest: ExperimentManifest) -> dict:
+    feats = _load_features(manifest)
     result = _train_eval_features(feats, manifest)
     out = _mkdir(report_dir(manifest))
     cm: ConfusionMatrix = result["confusion"]
@@ -438,12 +440,9 @@ def run_sweep(manifest: ExperimentManifest, workers: int = 1) -> list[tuple[int,
 
 def run_control(manifest: ExperimentManifest) -> dict:
     """Early/late leakage check per activity over the feature table."""
-    source = features_dir(manifest) / "features.bin"
-    if not source.exists():
-        raise DataError(f"features not found at {source}; run featurize first")
-    feats = load_features_bin(source)
+    feats = _load_features(manifest)
     k = manifest.windows_per_record
-    rows: list[tuple[str, float]] = []
+    accuracies: dict[str, float] = {}
     for kind in Activity:
         subset = [fs for fs in feats if fs.label == kind]
         if not subset:
@@ -454,12 +453,10 @@ def run_control(manifest: ExperimentManifest) -> dict:
             accuracy = early_late_control(inputs, window_ids, k, manifest.train)
         except ValueError as exc:
             raise DataError(f"activity {kind.name}: {exc}") from None
-        rows.append((kind.name, accuracy))
-    accuracies = dict(rows)
+        accuracies[kind.name] = accuracy
     lo, hi = CONTROL_BOUNDS
     verdict = "pass" if all(lo <= a <= hi for a in accuracies.values()) else "fail"
     out = _mkdir(control_dir(manifest))
-    _write_csv(out / "control.csv", ["activity", "accuracy"], rows)
     _write_json(
         out / "control.json",
         {"verdict": verdict, "accuracies": accuracies, "bounds": list(CONTROL_BOUNDS)},

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Activity
-
 __all__ = ["WindowedRecord", "interpolate_lost_frames", "segment"]
 
 
@@ -23,7 +21,6 @@ class WindowedRecord:
     """Ordered windows of one record, all with identical dims."""
 
     windows: tuple[np.ndarray, ...]
-    label: Activity | None
 
     def __post_init__(self):
         shapes = {w.shape for w in self.windows}
@@ -57,7 +54,7 @@ def interpolate_lost_frames(tensor: np.ndarray, mask) -> np.ndarray:
     return out
 
 
-def segment(tensor: np.ndarray, t_w: int, label: Activity | None = None) -> WindowedRecord:
+def segment(tensor: np.ndarray, t_w: int) -> WindowedRecord:
     """Cut the record into floor(T / t_w) windows of t_w snapshots.
 
     Window k holds snapshots [k·t_w, (k+1)·t_w); the remainder is
@@ -69,4 +66,4 @@ def segment(tensor: np.ndarray, t_w: int, label: Activity | None = None) -> Wind
     windows = tuple(
         tensor[k * t_w : (k + 1) * t_w].copy() for k in range(t // t_w)
     )
-    return WindowedRecord(windows=windows, label=label)
+    return WindowedRecord(windows=windows)

@@ -2,9 +2,14 @@
 subcommand flow on a tiny manifest."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mimosense
 from mimosense.channel import Activity
 from mimosense.cli import main
 from mimosense.errors import NumericError
@@ -145,3 +150,15 @@ def test_out_override_relocates_outputs(manifest_path, work_dir, capsys):
     )
     produced = capsys.readouterr().out.strip()
     assert produced.startswith(str(target))
+
+
+def test_module_entry_point_prints_help():
+    src = str(Path(mimosense.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "mimosense", "--help"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "simulate" in result.stdout

@@ -294,9 +294,9 @@ def test_unwrap_equals_numpy_bit_for_bit(p, order, axis):
     assert got.strides == want.strides
 
 
-def _old_family_tensors(c):
-    """The slot tensors as amp_phase_tensors and normalized_complex
-    built them before they were folded into family_tensors."""
+def _reference_family(c):
+    """Loop-free reference for the slot tensors: |C| and the unwrapped
+    phase, each over its own per-slice norm, and C / ‖C‖."""
 
     def slice_norms(x):
         return np.sqrt(np.sum(np.abs(x) ** 2, axis=(0, 1)))
@@ -318,19 +318,29 @@ def _old_family_tensors(c):
     p_norm = slice_norms(u)
     p = u / np.where(p_norm == 0.0, 1.0, p_norm)
     norms = slice_norms(c)
-    ct = c / np.where(norms == 0.0, 1.0, norms)
-    return a, p, ct.real.copy(), ct.imag.copy(), np.abs(ct)
+    return a, p, c / np.where(norms == 0.0, 1.0, norms)
 
 
-def test_family_tensors_equal_old_composition_on_correlations():
+def assert_family_matches_reference(c):
+    amp, phase, re, im, norm_amp = family_tensors(c)
+    want_amp, want_phase, ct = _reference_family(c)
+    assert_same_bits(amp, want_amp)
+    assert_same_bits(phase, want_phase)
+    # assert_array_equal counts -0.0 and +0.0 as equal.
+    assert_array_equal(re, ct.real)
+    assert_array_equal(im, ct.imag)
+    assert norm_amp is amp
+    assert_allclose(norm_amp, np.abs(ct), rtol=1e-15, atol=1e-300)
+
+
+def test_family_tensors_match_reference_on_correlations():
     rng = np.random.default_rng(11)
     for shape in [(12, 5, 8), (30, 4, 3), (5, 1, 2)]:
         g = random_complex(rng, shape)
         g[:, :, 0] = 0.0  # a dead antenna: zero slices per antenna
         g[2] = 0.0  # a dead snapshot: zero slices per snapshot
         for c in correlation_set(phase_reference(g)).in_slot_order():
-            for got, want in zip(family_tensors(c), _old_family_tensors(c)):
-                assert_same_bits(got, want)
+            assert_family_matches_reference(c)
 
 
 @settings(max_examples=200, deadline=None)
@@ -350,19 +360,18 @@ def test_family_tensors_equal_old_composition_on_correlations():
     order=st.sampled_from("CF"),
     zero_slice=st.booleans(),
 )
-def test_family_tensors_equal_old_composition_bit_for_bit(parts, order, zero_slice):
+def test_family_tensors_match_reference_with_signed_zeros(parts, order, zero_slice):
     c = np.empty(parts.shape[1:], dtype=complex, order=order)
     c.real, c.imag = parts  # part by part, keeping the signed zeros
     if zero_slice:
         c[:, :, 0] = 0.0
-    got, want = family_tensors(c), _old_family_tensors(c)
-    for g, w in zip(got, want):
-        assert_same_bits(g, w)
+    assert_family_matches_reference(c)
 
 
 def test_amp_and_norm_amp_slots_hold_the_same_tensor():
     # ||abs(C)||_F = ||C||_F, so abs(C) / ||abs(C)|| equals abs(C / ||C||)
-    # in every correlation family; only their ALS seeds differ.
+    # in every correlation family: one tensor fills both slots, and only
+    # their ALS seeds differ.
     rng = np.random.default_rng(10)
     g = random_complex(rng, (12, 5, 8)) * rng.uniform(0.1, 10.0, (1, 5, 8))
     tensors = real_feature_tensors(g)
@@ -371,8 +380,7 @@ def test_amp_and_norm_amp_slots_hold_the_same_tensor():
         amp_slot, norm_slot = 1 + 5 * family, 5 + 5 * family
         assert names[amp_slot].endswith(".amp")
         assert names[norm_slot].endswith(".norm_amp")
-        diff = np.max(np.abs(tensors[amp_slot] - tensors[norm_slot]))
-        assert diff <= 1e-15, (names[amp_slot], diff)
+        assert_same_bits(tensors[norm_slot], tensors[amp_slot])
 
 
 # ------------------------------------------------------ extract_features
@@ -468,7 +476,8 @@ def test_extract_features_deterministic():
 # the first sweep's mode-1 and mode-2 MTTKRPs, N = X x2 B for its mode-3
 # and the next sweep's mode-1 MTTKRP, and Q = X x1 A for the second
 # sweep's mode-2 and mode-3 MTTKRPs, never through a Khatri-Rao
-# product), with the two-mode and shared-mode-group merges.
+# product), with the two-mode and shared-mode-group merges, and with
+# each family's norm_amp slot fitting the amp slot's tensor.
 # Speed-ups to feature extraction must leave the features bit-identical:
 # the stored feature files, the trained model and every reported
 # accuracy derive from these bytes.  A change that moves a hash changes
@@ -485,13 +494,13 @@ def test_extract_features_deterministic():
             (12, 6, 5),
             6,
             False,
-            "9a4dbff5100f5c4b1420de052ba7011eba52f23e35d7ee2c7b2d286a4eab1fe0",
+            "d825e3f2727aaeb9558e6207dda950d1af90c61b67540bffc488c90a4e5813f8",
         ),
         (
             (8, 3, 2),
             4,
             True,
-            "5c4f48d29ef5a4fc6adb3a03a97d99a797ac27234182395c29ec7e2c5f161d6a",
+            "a864b9f931984738034c827e37605ec293355746c5729f7af3b9db50c95ca24e",
         ),
     ],
     ids=["random", "near_rank_one"],
@@ -684,6 +693,19 @@ def test_feature_bin_rejects_size_mismatch(tmp_path):
     path.write_bytes(raw[:-8])
     with pytest.raises(DataError):
         load_features_bin(path)
+
+
+@pytest.mark.parametrize(
+    "save", [save_features_csv, save_features_bin], ids=["csv", "bin"]
+)
+def test_feature_writers_reject_empty_and_mixed_r_max(tmp_path, save):
+    path = tmp_path / "features.out"
+    with pytest.raises(ValueError, match="empty feature file"):
+        save(path, [])
+    mixed = make_feature_sets(n=2, r_max=3) + make_feature_sets(n=1, r_max=4)
+    with pytest.raises(ValueError, match="mixed r_max"):
+        save(path, mixed)
+    assert not path.exists()
 
 
 def test_feature_bin_missing_schema(tmp_path):

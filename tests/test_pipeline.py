@@ -37,6 +37,7 @@ from mimosense.pipeline import (
     run_simulate,
     run_sweep,
     run_train_eval,
+    sweep_dir,
 )
 
 
@@ -308,8 +309,6 @@ def test_sweep_rows_and_full_m_consistency(man, features):
     reference = run_train_eval(man)
     assert rows[1][1] == reference["accuracy"]
 
-    from mimosense.pipeline import sweep_dir
-
     lines = (sweep_dir(man) / "sweep.csv").read_text().strip().splitlines()
     assert lines[0] == "m,accuracy"
     parsed = [line.split(",") for line in lines[1:]]
@@ -337,11 +336,10 @@ def test_control_report(work_dir):
     assert all(0.0 <= a <= 1.0 for a in result["accuracies"].values())
 
     out = control_dir(man)
-    lines = (out / "control.csv").read_text().strip().splitlines()
-    assert lines[0] == "activity,accuracy"
-    assert len(lines) == 6  # one row per activity present
+    assert sorted(p.name for p in out.iterdir()) == ["control.json"]
     report = json.loads((out / "control.json").read_text())
     assert report["verdict"] == result["verdict"]
+    assert report["accuracies"] == result["accuracies"]
     assert report["bounds"] == [0.35, 0.65]
 
 
@@ -414,3 +412,20 @@ def test_output_names_are_content_addressed(work_dir, man):
     elsewhere = manifest_from_dict(tiny_dict(work_dir / "other"))
     assert dataset_dir(elsewhere).name == dataset_dir(man).name
     assert dataset_dir(elsewhere).parent != dataset_dir(man).parent
+
+
+def test_output_names_of_a_fixed_manifest():
+    # The names address files already written; a refactor of the
+    # addressing must leave every one of them where it was.
+    man = manifest_from_dict(tiny_dict("unused"))
+    names = [
+        d(man).name
+        for d in (dataset_dir, features_dir, report_dir, sweep_dir, control_dir)
+    ]
+    assert names == [
+        "dataset-627f21496954",
+        "features-da215598b1a7",
+        "report-49e8e24c2815",
+        "sweep-cb5d1944782d",
+        "control-49e8e24c2815",
+    ]

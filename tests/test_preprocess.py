@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from mimosense.channel import Activity
 from mimosense.preprocess import interpolate_lost_frames, segment
 
 
@@ -94,10 +93,9 @@ def test_segment_window_count_full_scale():
 def test_segment_full_length_window():
     rng = np.random.default_rng(4)
     t = random_complex(rng, (8, 2, 2))
-    rec = segment(t, 8, label=Activity.ROTATE)
+    rec = segment(t, 8)
     assert len(rec.windows) == 1
     assert_array_equal(rec.windows[0], t)
-    assert rec.label == Activity.ROTATE
 
 
 def test_segment_floor_rule():
