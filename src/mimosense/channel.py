@@ -10,7 +10,7 @@ complex gain, a planar-array phase (half-wavelength 4 x (M/4)
 rectangular grid when M is divisible by 4, else a uniform line),
 and a baseband delay phase across subcarriers.  The line-of-sight
 scenario adds one dominant static path whose power is K times the
-diffuse total (Rician K, default 10 dB); the non-line-of-sight scenario
+diffuse total (Rician K, 10 dB); the non-line-of-sight scenario
 omits it and instead attenuates the scattered field (the obstruction
 loss), which against an absolute receiver noise floor is what makes
 NLOS records noisier than LOS ones.  Activity classes differ only in
@@ -72,6 +72,10 @@ class Activity(IntEnum):
 # Invented channel constants (the source measurements publish no channel
 # statistics).  Kept module-level: they define the synthetic world, not
 # per-experiment knobs.
+SNAPSHOT_INTERVAL_S = 0.01  # the 100 Hz sampling the pipeline is built around
+N_PATHS = 8
+RICIAN_K_DB = 10.0  # LOS dominant-path power over the scattered total
+_RICIAN_K = 10.0 ** (RICIAN_K_DB / 10.0)
 BANDWIDTH_HZ = 20e6
 DELAY_SPREAD_S = 300e-9
 LOS_DELAY_MAX_S = 50e-9
@@ -105,21 +109,18 @@ def _substream(seed: int, role: int) -> np.random.Generator:
 class SimConfig:
     """One record's generation parameters.
 
-    t/f/m are snapshot, subcarrier, and antenna counts; the snapshot
-    interval defaults to the 100 Hz sampling the pipeline is built
-    around.
+    t/f/m are snapshot, subcarrier, and antenna counts.  The snapshot
+    interval, path count and Rician K are the module constants
+    SNAPSHOT_INTERVAL_S, N_PATHS and RICIAN_K_DB.
     """
 
     t: int
     f: int
     m: int
-    snapshot_interval: float = 0.01
     scenario: str = "LOS"
     snr_db: float = 20.0
     frame_loss_prob: float = 0.0
     seed: int = 0
-    n_paths: int = 8
-    rician_k_db: float = 10.0
 
     def __post_init__(self):
         if min(self.t, self.f, self.m) < 1:
@@ -130,10 +131,6 @@ class SimConfig:
             )
         if self.scenario not in ("LOS", "NLOS"):
             raise ValueError(f"scenario must be LOS or NLOS, got {self.scenario!r}")
-        if self.snapshot_interval <= 0:
-            raise ValueError("snapshot_interval must be positive")
-        if self.n_paths < 1:
-            raise ValueError("n_paths must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -192,32 +189,28 @@ def _array_phase_grid(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _draw_paths(cfg: SimConfig, kind: Activity, rng: np.random.Generator):
     """Draw path geometry, gains, and motion descriptors (fixed order)."""
-    p = cfg.n_paths
-    k_lin = (
-        10.0 ** (cfg.rician_k_db / 10.0) if cfg.scenario == "LOS" else 0.0
-    )
     moving = kind in (Activity.PERIODIC, Activity.ROTATE_SHIFT, Activity.ROTATE)
     # Expected path powers with the scattered field normalized to 1 in
     # total; the mover takes its fixed share of that, and the dominant
     # path carries K times the scattered total on top.
-    share = np.full(p, 1.0 / p)
-    if moving and p > 1:
-        share = np.full(p, (1.0 - MOVING_POWER_SHARE) / (p - 1))
+    share = np.full(N_PATHS, 1.0 / N_PATHS)
+    if moving:
+        share = np.full(N_PATHS, (1.0 - MOVING_POWER_SHARE) / (N_PATHS - 1))
         share[0] = MOVING_POWER_SHARE
 
     los = None
     if cfg.scenario == "LOS":
         los = {
-            "gain": np.sqrt(k_lin) * np.exp(2j * np.pi * rng.uniform()),
+            "gain": np.sqrt(_RICIAN_K) * np.exp(2j * np.pi * rng.uniform()),
             "u": rng.uniform(-1.0, 1.0),
             "v": rng.uniform(-1.0, 1.0),
             "tau": rng.uniform(0.0, LOS_DELAY_MAX_S),
         }
-    re = rng.standard_normal(p)
-    im = rng.standard_normal(p)
-    u = rng.uniform(-1.0, 1.0, size=p)
-    v = rng.uniform(-1.0, 1.0, size=p)
-    tau = rng.uniform(0.0, DELAY_SPREAD_S, size=p)
+    re = rng.standard_normal(N_PATHS)
+    im = rng.standard_normal(N_PATHS)
+    u = rng.uniform(-1.0, 1.0, size=N_PATHS)
+    v = rng.uniform(-1.0, 1.0, size=N_PATHS)
+    tau = rng.uniform(0.0, DELAY_SPREAD_S, size=N_PATHS)
 
     gains = np.sqrt(share / 2.0) * (re + 1j * im)
     if moving:
@@ -229,7 +222,7 @@ def _draw_paths(cfg: SimConfig, kind: Activity, rng: np.random.Generator):
     motion: dict[str, float] = {}
     if kind == Activity.PERIODIC:
         period_s = rng.uniform(*AMPLITUDE_MOD_PERIOD_S)
-        motion["period_snapshots"] = period_s / cfg.snapshot_interval
+        motion["period_snapshots"] = period_s / SNAPSHOT_INTERVAL_S
         motion["mod_phase"] = rng.uniform(0.0, 2.0 * np.pi)
     elif kind in (Activity.ROTATE_SHIFT, Activity.ROTATE):
         lo, hi = ROTATE_SHIFT_RATE if kind == Activity.ROTATE_SHIFT else ROTATE_RATE
@@ -265,7 +258,7 @@ def generate_channel(cfg: SimConfig, kind: Activity) -> np.ndarray:
     b = np.exp(-2j * np.pi * np.outer(f_grid, tau))  # (F, P)
 
     # Time evolution per path.
-    c = np.broadcast_to(gains, (cfg.t, cfg.n_paths)).copy()  # (T, P)
+    c = np.broadcast_to(gains, (cfg.t, N_PATHS)).copy()  # (T, P)
     if kind == Activity.PERIODIC:
         period = motion["period_snapshots"]
         mod = 1.0 + AMPLITUDE_MOD_DEPTH * np.sin(
@@ -273,8 +266,8 @@ def generate_channel(cfg: SimConfig, kind: Activity) -> np.ndarray:
         )
         c[:, 0] = gains[0] * mod
     elif kind == Activity.RANDOM:
-        steps = rng.standard_normal((cfg.t - 1, cfg.n_paths)) if cfg.t > 1 else None
-        walk = np.zeros((cfg.t, cfg.n_paths))
+        steps = rng.standard_normal((cfg.t - 1, N_PATHS)) if cfg.t > 1 else None
+        walk = np.zeros((cfg.t, N_PATHS))
         if steps is not None:
             walk[1:] = PHASE_WALK_STD * np.cumsum(steps, axis=0)
         c = c * np.exp(1j * walk)
@@ -370,8 +363,7 @@ def effective_snr_db(cfg: SimConfig) -> float:
     NLOS_OBSTRUCTION_LOSS_DB against the unchanged floor.
     """
     if cfg.scenario == "LOS":
-        k_lin = 10.0 ** (cfg.rician_k_db / 10.0)
-        return cfg.snr_db + 10.0 * float(np.log10(1.0 + k_lin))
+        return cfg.snr_db + 10.0 * float(np.log10(1.0 + _RICIAN_K))
     return cfg.snr_db - NLOS_OBSTRUCTION_LOSS_DB
 
 

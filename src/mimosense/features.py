@@ -51,7 +51,6 @@ __all__ = [
     "family_tensors",
     "feature_names",
     "load_features_bin",
-    "load_features_csv",
     "phase_reference",
     "save_features_bin",
     "save_features_csv",
@@ -340,33 +339,6 @@ def save_features_csv(path, feature_sets) -> None:
             )
 
 
-def load_features_csv(path) -> list[FeatureSet]:
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            rows = list(reader)
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read feature file ({exc})") from exc
-    if not header or (len(header) - 2) % N_FEATURE_VECTORS != 0:
-        raise DataError(f"{path}: malformed feature header")
-    r_max = (len(header) - 2) // N_FEATURE_VECTORS
-    out = []
-    for row in rows:
-        if len(row) != len(header):
-            raise DataError(f"{path}: ragged feature row")
-        try:
-            window_id = int(row[0])
-            label = _label_from_int(int(row[1]))
-            lambdas = np.array([float(x) for x in row[2:]]).reshape(
-                N_FEATURE_VECTORS, r_max
-            )
-        except ValueError as exc:
-            raise DataError(f"{path}: unparsable feature row ({exc})") from exc
-        out.append(FeatureSet(lambdas=lambdas, window_id=window_id, label=label))
-    return out
-
-
 def save_features_bin(path, feature_sets) -> None:
     """Compact binary twin of the CSV: little-endian float64 rows of
     (window_id, label, weights…), described by a JSON schema sidecar."""
@@ -395,13 +367,22 @@ def load_features_bin(path) -> list[FeatureSet]:
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: corrupt feature schema ({exc})") from exc
     try:
-        n_rows, r_max = int(schema["rows"]), int(schema["r_max"])
-    except (KeyError, TypeError, ValueError) as exc:
+        n_rows, r_max = schema["rows"], schema["r_max"]
+    except (KeyError, TypeError) as exc:
         raise DataError(f"{path}: invalid feature schema ({exc})") from exc
+    if type(n_rows) is not int or type(r_max) is not int or n_rows < 0 or r_max < 1:
+        raise DataError(
+            f"{path}: invalid feature schema (rows={n_rows!r}, r_max={r_max!r})"
+        )
     width = 2 + N_FEATURE_VECTORS * r_max
     if len(raw) != n_rows * width * 8:
         raise DataError(f"{path}: feature payload size mismatch")
     rows = np.frombuffer(raw, dtype="<f8").reshape(n_rows, width)
+    ids = rows[:, 0]
+    if not np.all(np.isfinite(ids) & (ids >= 0) & (ids == np.round(ids))):
+        raise DataError(f"{path}: window ids must be non-negative integers")
+    if not np.all(np.isin(rows[:, 1], [-1] + [int(k) for k in Activity])):
+        raise DataError(f"{path}: labels must be -1 or an activity index")
     out = []
     for row in rows:
         out.append(

@@ -55,6 +55,25 @@ def _parse_activity(name: str) -> Activity:
         raise ValueError(f"unknown activity {name!r}") from None
 
 
+def _parse_counts(raw) -> dict[Activity, int]:
+    """The ``experiments_per_activity`` object; two keys that name the
+    same activity are an error, not a silent overwrite."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"experiments_per_activity must be an object, got {raw!r}")
+    counts: dict[Activity, int] = {}
+    keys: dict[Activity, str] = {}
+    for key, value in raw.items():
+        kind = _parse_activity(key)
+        if kind in keys:
+            raise ValueError(
+                f"experiments_per_activity keys {keys[kind]!r} and {key!r} "
+                f"both name {kind.name}"
+            )
+        keys[kind] = key
+        counts[kind] = _as(int, value, f"experiments_per_activity.{key}")
+    return counts
+
+
 @dataclass(frozen=True)
 class ExperimentManifest:
     sim: SimConfig
@@ -157,14 +176,13 @@ def manifest_from_dict(raw: dict) -> ExperimentManifest:
     }
     counts_raw = top.pop("experiments_per_activity", None)
     if counts_raw is not None:
-        kwargs["experiments_per_activity"] = {
-            _parse_activity(k): _as(int, v, f"experiments_per_activity.{k}")
-            for k, v in dict(counts_raw).items()
-        }
+        kwargs["experiments_per_activity"] = _parse_counts(counts_raw)
     if "antenna_sweep" in top:
+        sweep = top.pop("antenna_sweep")
+        if not isinstance(sweep, (list, tuple)):
+            raise ValueError(f"antenna_sweep must be a list, got {sweep!r}")
         kwargs["antenna_sweep"] = tuple(
-            _as(int, m, f"antenna_sweep[{i}]")
-            for i, m in enumerate(top.pop("antenna_sweep"))
+            _as(int, m, f"antenna_sweep[{i}]") for i, m in enumerate(sweep)
         )
     if "output_dir" in top:
         kwargs["output_dir"] = str(top.pop("output_dir"))

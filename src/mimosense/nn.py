@@ -20,8 +20,12 @@ from .errors import DataError, NumericError
 
 __all__ = [
     "AdamState",
+    "BETA1",
+    "BETA2",
     "ConfusionMatrix",
+    "EPS",
     "HIDDEN_DIMS",
+    "LEARNING_RATE",
     "LabeledDataset",
     "MlpModel",
     "TrainConfig",
@@ -39,18 +43,20 @@ __all__ = [
 ]
 
 HIDDEN_DIMS = (64, 32, 32, 32)
+# Adam at the constants of Kingma & Ba (2015).
+LEARNING_RATE = 0.001
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 _PROB_CLAMP = 1e-12
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimization hyperparameters; the Adam moment constants are part
-    of the config so checkpoints record them."""
+    """Training schedule and split; Adam's step size and moment
+    constants are the module constants LEARNING_RATE, BETA1, BETA2 and
+    EPS."""
 
-    learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     epochs: int = 200
     batch_size: int = 32
     split_fraction: float = 0.85
@@ -61,7 +67,7 @@ class TrainConfig:
             raise ValueError(
                 f"split_fraction must be in (0, 1), got {self.split_fraction}"
             )
-        if self.learning_rate <= 0 or self.epochs < 0 or self.batch_size < 1:
+        if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("invalid training hyperparameters")
 
 
@@ -128,9 +134,6 @@ class ConfusionMatrix:
     def accuracy(self) -> float:
         total = self.counts.sum()
         return float(np.trace(self.counts) / total) if total else 0.0
-
-    def row_sums(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
 
 
 @dataclass
@@ -280,14 +283,14 @@ def _backward_pass(model: MlpModel, zs, acts, c: np.ndarray, out: np.ndarray):
 
 
 def adam_step(
-    model: MlpModel, g: np.ndarray, state: AdamState, cfg: TrainConfig
+    model: MlpModel, g: np.ndarray, state: AdamState
 ) -> tuple[MlpModel, AdamState]:
     """One bias-corrected Adam update of ``model.params`` and the moments
     in ``state``, in place, from the gradient ``g`` in ``params`` layout,
     which is left unchanged; returns ``(model, state)``."""
     state.step += 1
-    corr1 = 1.0 - cfg.beta1**state.step
-    corr2 = 1.0 - cfg.beta2**state.step
+    corr1 = 1.0 - BETA1**state.step
+    corr2 = 1.0 - BETA2**state.step
     m, v = state.m, state.v
     a, b = state.work
     # m ← β1·m + (1−β1)·g and v ← β2·v + (1−β2)·(g·g), then the update
@@ -295,17 +298,17 @@ def adam_step(
     # written.  The intermediates go to state.work, since each vector of
     # this size that is allocated afresh costs page faults.
     np.multiply(g, g, out=a)
-    a *= 1.0 - cfg.beta2
-    v *= cfg.beta2
+    a *= 1.0 - BETA2
+    v *= BETA2
     v += a
-    np.multiply(g, 1.0 - cfg.beta1, out=a)
-    m *= cfg.beta1
+    np.multiply(g, 1.0 - BETA1, out=a)
+    m *= BETA1
     m += a
     np.divide(m, corr1, out=a)
-    a *= cfg.learning_rate
+    a *= LEARNING_RATE
     np.divide(v, corr2, out=b)
     np.sqrt(b, out=b)
-    b += cfg.eps
+    b += EPS
     a /= b
     model.params -= a
     return model, state
@@ -356,7 +359,7 @@ def train(ds: LabeledDataset, cfg: TrainConfig) -> tuple[MlpModel, list[float]]:
                     f"training loss became non-finite at step {state.step}"
                 )
             epoch_loss += batch_loss * len(idx)
-            adam_step(model, _backward_pass(model, zs, acts, c, g), state, cfg)
+            adam_step(model, _backward_pass(model, zs, acts, c, g), state)
         history.append(epoch_loss / n)
     return model, history
 

@@ -4,8 +4,9 @@ Every third-order array in this package follows a single linearization
 convention: the first index varies fastest, i.e. entry (i, j, k) of a
 (d1, d2, d3) tensor lives at flat offset ``i + j*d1 + k*d1*d2`` (Fortran
 ravel order).  The mode-n unfoldings below are derived from that
-convention and are its single source of truth; the ALS solver and the
-on-disk codec in :mod:`mimosense.tensor_io` both rely on it.
+convention and are its single source of truth.  The on-disk codec in
+:mod:`mimosense.tensor_io` stores tensors in this order, and the ALS
+solver's own mode-3 unfolding (``cp._unfold3``) equals ``unfold(t, 3)``.
 
 Real and complex tensors are plain numpy arrays (float64 / complex128);
 all operations allocate fresh outputs and never mutate their inputs.

@@ -1,6 +1,7 @@
 """Channel simulator tests: formula oracles, statistics, persistence."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from mimosense.channel import (
     NLOS_OBSTRUCTION_LOSS_DB,
+    RICIAN_K_DB,
+    SNAPSHOT_INTERVAL_S,
     Activity,
     RfChainModel,
     SimConfig,
@@ -107,7 +110,7 @@ def test_motion_parameters_ranges():
     for seed in range(5):
         cfg = small_cfg(seed=seed)
         per = motion_parameters(cfg, Activity.PERIODIC)["period_snapshots"]
-        assert 0.5 / cfg.snapshot_interval <= per <= 2.0 / cfg.snapshot_interval
+        assert 0.5 / SNAPSHOT_INTERVAL_S <= per <= 2.0 / SNAPSHOT_INTERVAL_S
         rot = motion_parameters(cfg, Activity.ROTATE)["rotation_rate"]
         assert 0.05 <= abs(rot) <= 0.15
         ms = motion_parameters(cfg, Activity.ROTATE_SHIFT)
@@ -260,7 +263,7 @@ def test_effective_snr_scenario_semantics():
     # the obstruction drops the NLOS one by its loss.
     los = small_cfg(scenario="LOS", snr_db=20.0)
     nlos = small_cfg(scenario="NLOS", snr_db=20.0)
-    k_lin = 10.0 ** (los.rician_k_db / 10.0)
+    k_lin = 10.0 ** (RICIAN_K_DB / 10.0)
     assert effective_snr_db(los) == pytest.approx(
         20.0 + 10.0 * np.log10(1.0 + k_lin), abs=1e-12
     )
@@ -356,8 +359,12 @@ def _old_layout(sidecar):
 
 @pytest.mark.parametrize(
     "edit",
-    [lambda s: s["sim"].update(carrier_hz=3.7e9), _old_layout],
-    ids=["unknown-sim-key", "old-layout"],
+    [
+        lambda s: s["sim"].update(carrier_hz=3.7e9),
+        _old_layout,
+        lambda s: s["sim"].update(snapshot_interval=0.01, n_paths=8),
+    ],
+    ids=["unknown-sim-key", "old-layout", "channel-constant-key"],
 )
 def test_load_record_rejects_foreign_sidecar(tmp_path, edit):
     import json
@@ -395,11 +402,33 @@ def test_sim_config_validation():
         SimConfig(t=1, f=1, m=1, frame_loss_prob=0.5)
     with pytest.raises(ValueError):
         SimConfig(t=1, f=1, m=1, scenario="INDOOR")
-    with pytest.raises(ValueError):
-        SimConfig(t=1, f=1, m=1, snapshot_interval=0.0)
 
 
 def test_sim_config_immutable():
     cfg = small_cfg()
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.t = 99
+
+
+# sha256 of the .mmt3 file of small records, recorded when the snapshot
+# interval, path count and Rician K were still SimConfig fields with
+# defaults 0.01 s, 8 and 10 dB.  PERIODIC reads the snapshot interval,
+# LOS reads K, and RANDOM's phase walk draws one step per path, so the
+# three cases pin each channel constant to that default.
+@pytest.mark.parametrize(
+    "scenario, kind, seed, digest",
+    [
+        ("LOS", "PERIODIC", 11,
+         "9d01f0596379e245997741d5b9d930820f3993c825ddd3e7383e54624ab7acc5"),
+        ("NLOS", "RANDOM", 12,
+         "2eb8312c396c8b813a13cb458928b174f78dab47bc73bbed02a8cd66d73ba7d0"),
+        ("LOS", "ROTATE_SHIFT", 13,
+         "01af7e8f7afc1e903cc817df1add37d61dfc3dc5627d8f525ed19634c965cf9c"),
+    ],
+    ids=["LOS-PERIODIC", "NLOS-RANDOM", "LOS-ROTATE_SHIFT"],
+)
+def test_record_golden_hash(tmp_path, scenario, kind, seed, digest):
+    cfg = SimConfig(t=60, f=4, m=8, scenario=scenario, seed=seed)
+    path = tmp_path / "rec.mmt3"
+    save_record(path, simulate_record(cfg, Activity[kind]))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

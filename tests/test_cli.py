@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mimosense
@@ -81,6 +82,38 @@ def test_bad_manifest_is_validation_error(work_dir, capsys):
     assert main(["simulate", "--manifest", str(bad)]) == 2
     assert "validation error" in capsys.readouterr().err
     assert main(["simulate", "--manifest", str(work_dir / "ghost.json")]) == 2
+
+
+def test_non_list_sweep_is_validation_error(manifest_path, work_dir, capsys):
+    raw = json.loads(Path(manifest_path).read_text())
+    raw["antenna_sweep"] = 4
+    bad = work_dir / "scalar-sweep.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["simulate", "--manifest", str(bad)]) == 2
+    assert "antenna_sweep must be a list" in capsys.readouterr().err
+
+
+def test_corrupt_feature_label_is_data_error(work_dir, capsys):
+    raw = {
+        "sim": {"t": 20, "f": 3, "m": 4, "seed": 6},
+        "t_w": 10,
+        "r_max": 2,
+        "als": {"max_iters": 3, "rel_tol": 1e-3},
+        "train": {"epochs": 1},
+        "experiments_per_activity": {k.name: 2 for k in Activity},
+        "antenna_sweep": [4],
+        "output_dir": str(work_dir / "corrupt-label"),
+    }
+    path = work_dir / "corrupt-label.json"
+    path.write_text(json.dumps(raw))
+    assert main(["simulate", "--manifest", str(path)]) == 0
+    assert main(["featurize", "--manifest", str(path)]) == 0
+    features = Path(capsys.readouterr().out.split()[-1]) / "features.bin"
+    rows = np.fromfile(features, dtype="<f8").reshape(20, -1)
+    rows[3, 1] = 9.0  # no such activity
+    rows.tofile(features)
+    assert main(["train-eval", "--manifest", str(path)]) == 3
+    assert "labels must be -1 or an activity index" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n_kinds", [5, 4], ids=["empty-test-set", "too-few-rows"])

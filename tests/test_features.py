@@ -1,6 +1,7 @@
 """Feature-extraction tests: correlation oracles, normalization rules,
 CP-weight layout, and persistence."""
 
+import csv
 import hashlib
 
 import numpy as np
@@ -27,7 +28,6 @@ from mimosense.features import (
     family_tensors,
     feature_names,
     load_features_bin,
-    load_features_csv,
     phase_reference,
     real_feature_tensors,
     save_features_bin,
@@ -656,15 +656,22 @@ def make_feature_sets(n=4, r_max=3, seed=15):
 
 
 def test_feature_csv_round_trip(tmp_path):
+    # Nothing reads features.csv back; parsed with the csv module, it
+    # must hold the rows of features.bin exactly.
     sets = make_feature_sets()
-    path = tmp_path / "features.csv"
-    save_features_csv(path, sets)
-    back = load_features_csv(path)
-    assert len(back) == len(sets)
-    for a, b in zip(back, sets):
-        assert a.window_id == b.window_id
-        assert a.label == b.label
-        assert_array_equal(a.lambdas, b.lambdas)
+    save_features_csv(tmp_path / "features.csv", sets)
+    save_features_bin(tmp_path / "features.bin", sets)
+    with open(tmp_path / "features.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header[:2] == ["window_id", "label"]
+    assert header[2:5] == ["window_amp[0]", "window_amp[1]", "window_amp[2]"]
+    assert len(header) == 2 + 31 * 3
+    assert [int(row[0]) for row in rows] == [fs.window_id for fs in sets]
+    assert [int(row[1]) for row in rows] == [int(fs.label) for fs in sets]
+    by_bin = np.fromfile(tmp_path / "features.bin", dtype="<f8")
+    assert_array_equal(
+        np.array(rows, dtype=float), by_bin.reshape(len(sets), len(header))
+    )
 
 
 def test_feature_bin_round_trip(tmp_path):
@@ -676,13 +683,6 @@ def test_feature_bin_round_trip(tmp_path):
         assert a.window_id == b.window_id
         assert a.label == b.label
         assert_array_equal(a.lambdas, b.lambdas)
-
-
-def test_feature_csv_rejects_corrupt(tmp_path):
-    path = tmp_path / "features.csv"
-    path.write_text("window_id,label,bogus\n1,2\n")
-    with pytest.raises(DataError):
-        load_features_csv(path)
 
 
 def test_feature_bin_rejects_size_mismatch(tmp_path):
@@ -714,4 +714,48 @@ def test_feature_bin_missing_schema(tmp_path):
     save_features_bin(path, sets)
     path.with_suffix(".schema.json").unlink()
     with pytest.raises(DataError):
+        load_features_bin(path)
+
+
+@pytest.mark.parametrize(
+    "column, value, message",
+    [
+        (1, 0.5, "labels"),
+        (1, 9.0, "labels"),
+        (1, np.nan, "labels"),
+        (0, 1.5, "window ids"),
+        (0, np.nan, "window ids"),
+        (0, -1.0, "window ids"),
+    ],
+    ids=["label-0.5", "label-9", "label-nan", "id-1.5", "id-nan", "id-negative"],
+)
+def test_feature_bin_rejects_corrupt_rows(tmp_path, column, value, message):
+    # A row the writer cannot have produced is a corrupt file, not a
+    # label or window id to truncate.
+    sets = make_feature_sets(seed=19)
+    path = tmp_path / "features.bin"
+    save_features_bin(path, sets)
+    rows = np.fromfile(path, dtype="<f8").reshape(len(sets), -1)
+    rows[2, column] = value
+    rows.tofile(path)
+    with pytest.raises(DataError, match=message):
+        load_features_bin(path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [{"r_max": 0}, {"rows": -1}, {"r_max": 3.0}, {"rows": "4"}],
+    ids=["r_max-0", "rows-negative", "r_max-float", "rows-string"],
+)
+def test_feature_bin_rejects_invalid_schema(tmp_path, edit):
+    import json
+
+    sets = make_feature_sets(seed=20)
+    path = tmp_path / "features.bin"
+    save_features_bin(path, sets)
+    schema_path = path.with_suffix(".schema.json")
+    schema = json.loads(schema_path.read_text())
+    schema.update(edit)
+    schema_path.write_text(json.dumps(schema))
+    with pytest.raises(DataError, match="invalid feature schema"):
         load_features_bin(path)

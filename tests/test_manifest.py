@@ -70,6 +70,36 @@ def test_rejects_unknown_keys():
         manifest_from_dict(minimal(als={"iterations": 5}))
     with pytest.raises(ValueError, match="unknown train keys"):
         manifest_from_dict(minimal(train={"lr": 0.1}))
+    # The channel and Adam constants are module constants, not fields.
+    for block, key, value in [
+        ("sim", "snapshot_interval", 0.01),
+        ("sim", "n_paths", 8),
+        ("sim", "rician_k_db", 10.0),
+        ("train", "learning_rate", 0.001),
+        ("train", "beta1", 0.9),
+        ("train", "beta2", 0.999),
+        ("train", "eps", 1e-8),
+    ]:
+        raw = minimal()
+        raw.setdefault(block, {})[key] = value
+        with pytest.raises(ValueError, match=rf"unknown {block} keys: \['{key}'\]"):
+            manifest_from_dict(raw)
+
+
+def test_rejects_aliases_naming_one_activity():
+    for counts, pair in [
+        ({"A1": 2, "STATIC": 5}, "'A1' and 'STATIC'"),
+        ({"A1": 2, "a1": 3}, "'A1' and 'a1'"),
+    ]:
+        with pytest.raises(ValueError, match=f"keys {pair} both name STATIC"):
+            manifest_from_dict(minimal(experiments_per_activity=counts))
+
+
+def test_rejects_non_container_counts_and_sweep():
+    with pytest.raises(ValueError, match="experiments_per_activity must be an object"):
+        manifest_from_dict(minimal(experiments_per_activity=[1, 2]))
+    with pytest.raises(ValueError, match="antenna_sweep must be a list"):
+        manifest_from_dict(minimal(antenna_sweep=4))
 
 
 def test_rejects_missing_sim_dims():
@@ -137,12 +167,12 @@ SIM = {"t": 3000, "f": 100, "m": 100}
     "over, key",
     [
         ({"sim": dict(SIM, snr_db=float("nan"))}, "sim.snr_db"),
-        ({"sim": dict(SIM, rician_k_db=float("inf"))}, "sim.rician_k_db"),
-        ({"sim": dict(SIM, snapshot_interval=float("nan"))}, "sim.snapshot_interval"),
+        ({"sim": dict(SIM, frame_loss_prob=float("inf"))}, "sim.frame_loss_prob"),
+        ({"sim": dict(SIM, frame_loss_prob=float("nan"))}, "sim.frame_loss_prob"),
         ({"als": {"rel_tol": float("nan")}}, "als.rel_tol"),
-        ({"train": {"learning_rate": float("nan")}}, "train.learning_rate"),
-        ({"train": {"beta1": float("-inf")}}, "train.beta1"),
-        ({"train": {"eps": float("inf")}}, "train.eps"),
+        ({"train": {"split_fraction": float("nan")}}, "train.split_fraction"),
+        ({"train": {"split_fraction": float("-inf")}}, "train.split_fraction"),
+        ({"als": {"rel_tol": float("inf")}}, "als.rel_tol"),
     ],
 )
 def test_rejects_non_finite_floats(over, key):

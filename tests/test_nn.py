@@ -17,6 +17,7 @@ import pytest
 from mimosense.errors import DataError, NumericError
 from mimosense.nn import (
     HIDDEN_DIMS,
+    LEARNING_RATE,
     LabeledDataset,
     MlpModel,
     TrainConfig,
@@ -242,41 +243,39 @@ def one_param_model(value):
 
 
 def test_adam_first_step_near_learning_rate():
-    cfg = TrainConfig()
     model = one_param_model(0.5)
     state = init_state(model)
-    adam_step(model, np.array([1.0, 0.0]), state, cfg)
+    adam_step(model, np.array([1.0, 0.0]), state)
     # Bias correction makes the first step lr * g/(|g| + eps).
-    assert abs(model.weights[0].item() - (0.5 - 0.001)) < 1e-9
+    assert abs(model.weights[0].item() - (0.5 - LEARNING_RATE)) < 1e-9
     assert state.step == 1
 
 
 def test_adam_matches_hand_recurrence():
-    cfg = TrainConfig(learning_rate=0.01)
     model = one_param_model(1.0)
     state = init_state(model)
     grads_seq = [0.4, -1.3, 2.2, 0.05, -0.7]
-    # Scalar reference recurrence.
+    # Scalar reference recurrence at the Kingma & Ba constants: learning
+    # rate 0.001, beta1 0.9, beta2 0.999, eps 1e-8.
     p, m, v = 1.0, 0.0, 0.0
     for t, g in enumerate(grads_seq, start=1):
         m = 0.9 * m + 0.1 * g
         v = 0.999 * v + 0.001 * g * g
-        p -= 0.01 * (m / (1 - 0.9**t)) / (
+        p -= 0.001 * (m / (1 - 0.9**t)) / (
             math.sqrt(v / (1 - 0.999**t)) + 1e-8
         )
-        adam_step(model, np.array([g, 0.0]), state, cfg)
+        adam_step(model, np.array([g, 0.0]), state)
         assert abs(model.weights[0].item() - p) < 1e-12
     assert state.step == len(grads_seq)
 
 
 def test_adam_updates_in_place_and_leaves_grads():
-    cfg = TrainConfig()
     model = init_model(3, 2, seed=1)
     state = init_state(model)
     weights, params = model.weights, model.params.copy()
     g = grad(model, (np.ones((2, 3)), onehot(np.array([0, 1]), 2)))
     kept = g.copy()
-    new_model, new_state = adam_step(model, g, state, cfg)
+    new_model, new_state = adam_step(model, g, state)
     assert new_model is model and new_state is state
     assert model.weights is weights
     assert not np.array_equal(model.params, params)
@@ -287,16 +286,15 @@ def test_adam_updates_in_place_and_leaves_grads():
 def test_adam_step_allocates_nothing_parameter_sized():
     # Desk width (279 inputs, 5 classes: 22,277 parameters).  A step that
     # allocates a parameter-sized vector page-faults it in every time.
-    cfg = TrainConfig()
     model = init_model(279, 5, seed=0)
     state = init_state(model)
     rng = np.random.default_rng(2)
     g = grad(model, (rng.normal(size=(4, 279)), onehot(np.arange(4), 5)))
-    adam_step(model, g, state, cfg)
+    adam_step(model, g, state)
     tracemalloc.start()
     try:
         for _ in range(5):
-            adam_step(model, g, state, cfg)
+            adam_step(model, g, state)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -421,7 +419,7 @@ def test_train_steps_equal_grad_then_adam():
         for start in range(0, len(ds), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             batch = (ds.inputs[idx], ds.labels[idx])
-            ref, state = adam_step(ref, grad(ref, batch), state, cfg)
+            ref, state = adam_step(ref, grad(ref, batch), state)
     for a, b in zip(model.weights + model.biases, ref.weights + ref.biases):
         np.testing.assert_array_equal(a, b)
 
@@ -455,7 +453,7 @@ def test_evaluate_confusion_layout():
     assert cm.counts.shape == (4, 4)
     assert cm.counts[:, 0].sum() == 6  # everything lands in column 0
     np.testing.assert_array_equal(
-        cm.row_sums(), np.bincount(true, minlength=4)
+        cm.counts.sum(axis=1), np.bincount(true, minlength=4)
     )
     assert acc == pytest.approx(1.0 / 6.0)
 
@@ -551,10 +549,11 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     np.testing.assert_array_equal(model.params, loaded.params)
 
 
-# The checkpoint bytes of a short training run, recorded before the
-# parameters moved into one flat vector.  They pin the parameter layout
-# and every rounding of the Adam step: a change that moves this hash
-# changes the trained models and must say so, not update the hash.
+# The parameter bytes of a short training run's checkpoint, recorded
+# when the Adam constants were still TrainConfig fields.  They pin the
+# parameter layout and every rounding of the Adam step: a change that
+# moves this hash changes the trained models and must say so, not
+# update the hash.  The header records the training config.
 def test_train_checkpoint_golden_hash(tmp_path):
     rng = np.random.default_rng(8)
     ds = make_dataset(rng, 60, 6, 3)
@@ -562,10 +561,16 @@ def test_train_checkpoint_golden_hash(tmp_path):
     model, _ = train(ds, cfg)
     path = tmp_path / "model.ckpt"
     save_model(path, model, cfg)
+    raw = path.read_bytes()
+    blob = raw[-model.params.nbytes :]
     assert (
-        hashlib.sha256(path.read_bytes()).hexdigest()
-        == "7c796af0db75e22efa8274d912af14ad0271733ede548cae93415dc59459b207"
+        hashlib.sha256(blob).hexdigest()
+        == "814e491272d35f967397cedcb55039b01691136040b344af4cff05e758d4ed02"
     )
+    _, header = load_model(path)
+    assert header["train_config"] == {
+        "epochs": 5, "batch_size": 16, "split_fraction": 0.85, "seed": 2
+    }
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
@@ -615,6 +620,6 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(split_fraction=1.0)
     with pytest.raises(ValueError):
-        TrainConfig(learning_rate=0.0)
+        TrainConfig(epochs=-1)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
