@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .tensor_io import load_tensor, save_tensor
+from .tensor_io import atomic_write, load_tensor, save_tensor
 
 __all__ = [
     "Activity",
@@ -416,7 +416,8 @@ def save_record(path, record: SimulatedRecord) -> None:
         "label": int(record.label),
         "lost_runs": _mask_to_runs(record.mask),
     }
-    path.with_suffix(".json").write_text(json.dumps(sidecar, indent=1))
+    with atomic_write(path.with_suffix(".json"), "w") as fh:
+        fh.write(json.dumps(sidecar, indent=1))
 
 
 def load_record(path) -> SimulatedRecord:

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, NumericError
+from .tensor_io import atomic_write
 
 __all__ = [
     "AdamState",
@@ -452,7 +453,7 @@ def save_model(path, model: MlpModel, train_cfg: TrainConfig | None = None) -> N
     }
     blob = np.ascontiguousarray(model.params, dtype="<f8").tobytes()
     head = json.dumps(header).encode()
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<I", len(head)))
         fh.write(head)

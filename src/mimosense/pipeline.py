@@ -43,6 +43,7 @@ from .nn import (
     train,
 )
 from .preprocess import interpolate_lost_frames, segment
+from .tensor_io import atomic_write
 
 __all__ = [
     "CONTROL_BOUNDS",
@@ -134,7 +135,8 @@ def _mkdir(path: Path) -> Path:
 
 def _write_text(path: Path, text: str) -> None:
     try:
-        path.write_text(text)
+        with atomic_write(path, "w") as fh:
+            fh.write(text)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
 

@@ -4,11 +4,15 @@ Layout: magic ``MMT3``, one element-kind byte (0 = real64, 1 =
 complex128), three little-endian u64 dims, then the raw little-endian
 IEEE-754 payload in linearization order (first index fastest; complex
 entries interleaved re, im).
+
+Every output file of the package is written through ``atomic_write``.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +23,23 @@ MAGIC = b"MMT3"
 _KIND_REAL = 0
 _KIND_COMPLEX = 1
 _HEADER = struct.Struct("<4sB3Q")
+
+
+@contextmanager
+def atomic_write(path, mode: str = "wb", **kwargs):
+    """Open a sibling temp file of ``path`` with ``open(tmp, mode,
+    **kwargs)`` and rename it over ``path`` once the block completes, so
+    a killed or failed write never leaves a partial file under the final
+    name.  A block that raises removes the temp file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_tensor(path, tensor) -> None:
@@ -33,7 +54,9 @@ def save_tensor(path, tensor) -> None:
         kind, dtype = _KIND_REAL, "<f8"
     header = _HEADER.pack(MAGIC, kind, *t.shape)
     payload = np.asarray(t, dtype=dtype).ravel(order="F").tobytes()
-    Path(path).write_bytes(header + payload)
+    with atomic_write(path) as fh:
+        fh.write(header)
+        fh.write(payload)
 
 
 def load_tensor(path) -> np.ndarray:

@@ -53,6 +53,10 @@ def test_simulate_then_featurize_then_train(manifest_path, capsys):
 
 
 def test_sweep_and_control(manifest_path, capsys):
+    # Its own simulate and featurize, so the test passes when run alone.
+    for command in ("simulate", "featurize"):
+        assert main([command, "--manifest", manifest_path]) == 0
+    capsys.readouterr()
     assert main(["sweep-antennas", "--manifest", manifest_path]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert len(out) == 2 and out[0].startswith("M=2 ")

@@ -3,6 +3,7 @@ CP-weight layout, and persistence."""
 
 import csv
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
 import mimosense.features as features
-from mimosense.channel import Activity
+from mimosense.channel import Activity, SimConfig, simulate_record
 from mimosense.cp import AlsConfig, cp_als
 from mimosense.errors import DataError
 from mimosense.features import (
@@ -149,21 +150,21 @@ def test_correlation_slices_psd():
 
 def test_amp_phase_real_positive_slice():
     c = np.abs(np.random.default_rng(6).standard_normal((3, 3, 1))) + 0j
-    a, p = family_tensors(c)[:2]
+    a, p = tuple(family_tensors(c))[:2]
     assert_array_equal(p, np.zeros_like(p.real))
     assert_allclose(a[:, :, 0], c[:, :, 0].real / np.linalg.norm(c[:, :, 0]), atol=1e-14)
 
 
 def test_amp_phase_quarter_turn():
     c = np.array([1.0, 1.0j]).reshape(1, 2, 1)
-    a, p = family_tensors(c)[:2]
+    a, p = tuple(family_tensors(c))[:2]
     assert_allclose(p[0, :, 0], [0.0, 1.0], atol=1e-12)
     assert_allclose(a[0, :, 0], [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-12)
 
 
 def test_amp_phase_unwrap_adjacent_jump():
     c = np.exp(1j * np.array([0.1, 6.2])).reshape(1, 2, 1)
-    p = family_tensors(c)[1]
+    p = tuple(family_tensors(c))[1]
     want = np.array([0.1, 6.2 - 2 * np.pi])
     want = want / np.linalg.norm(want)
     assert_allclose(p[0, :, 0], want, atol=1e-12)
@@ -172,7 +173,7 @@ def test_amp_phase_unwrap_adjacent_jump():
 def test_amp_phase_unwrap_recovers_continuous_ramp():
     raw = np.array([0.1, 3.0, 6.0])
     c = np.exp(1j * raw).reshape(1, 3, 1)
-    p = family_tensors(c)[1]
+    p = tuple(family_tensors(c))[1]
     want = raw / np.linalg.norm(raw)
     assert_allclose(p[0, :, 0], want, atol=1e-12)
 
@@ -207,7 +208,7 @@ def _unwrap_oracle(ang):
 def test_amp_phase_matches_scalar_unwrap_oracle():
     rng = np.random.default_rng(7)
     c = random_complex(rng, (4, 5, 3))
-    p = family_tensors(c)[1]
+    p = tuple(family_tensors(c))[1]
     for s in range(3):
         w = _unwrap_oracle(np.angle(c[:, :, s]))
         assert_allclose(p[:, :, s], w / np.linalg.norm(w), atol=1e-12)
@@ -216,7 +217,7 @@ def test_amp_phase_matches_scalar_unwrap_oracle():
 def test_amp_phase_zero_slice():
     c = np.zeros((2, 2, 2), dtype=complex)
     c[:, :, 1] = 1.0  # second slice nonzero, first all-zero
-    a, p = family_tensors(c)[:2]
+    a, p = tuple(family_tensors(c))[:2]
     assert_array_equal(a[:, :, 0], np.zeros((2, 2)))
     assert_array_equal(p[:, :, 0], np.zeros((2, 2)))
     assert np.linalg.norm(a[:, :, 1]) > 0
@@ -229,7 +230,7 @@ def test_normalized_complex_unit_slice_unchanged():
     rng = np.random.default_rng(8)
     c = random_complex(rng, (3, 3, 1))
     c /= np.linalg.norm(c[:, :, 0])
-    re, im, amp = family_tensors(c)[2:]
+    re, im, amp = tuple(family_tensors(c))[2:]
     assert_allclose(re[:, :, 0], c[:, :, 0].real, atol=1e-12)
     assert_allclose(im[:, :, 0], c[:, :, 0].imag, atol=1e-12)
     assert_allclose(amp[:, :, 0], np.abs(c[:, :, 0]), atol=1e-12)
@@ -237,14 +238,14 @@ def test_normalized_complex_unit_slice_unchanged():
 
 def test_normalized_complex_scalar_slice():
     c = np.full((1, 1, 1), 2.0 + 0.0j)
-    re, im, amp = family_tensors(c)[2:]
+    re, im, amp = tuple(family_tensors(c))[2:]
     assert_allclose([re[0, 0, 0], im[0, 0, 0], amp[0, 0, 0]], [1.0, 0.0, 1.0], atol=1e-15)
 
 
 def test_normalized_complex_matches_scalar_oracle():
     rng = np.random.default_rng(9)
     c = random_complex(rng, (3, 3, 2))
-    re, im, amp = family_tensors(c)[2:]
+    re, im, amp = tuple(family_tensors(c))[2:]
     for s in range(2):
         n = np.sqrt(sum(abs(c[i, j, s]) ** 2 for i in range(3) for j in range(3)))
         total = 0.0
@@ -374,7 +375,7 @@ def test_amp_and_norm_amp_slots_hold_the_same_tensor():
     # their ALS seeds differ.
     rng = np.random.default_rng(10)
     g = random_complex(rng, (12, 5, 8)) * rng.uniform(0.1, 10.0, (1, 5, 8))
-    tensors = real_feature_tensors(g)
+    tensors = tuple(real_feature_tensors(g))
     names = feature_names()
     for family in range(6):
         amp_slot, norm_slot = 1 + 5 * family, 5 + 5 * family
@@ -451,7 +452,7 @@ def test_rank_one_leading_weight_for_every_als_seed():
         u, v, w = (random_complex(rng, d) for d in (6, 5, 4))
         u, v, w = (x / np.linalg.norm(x) for x in (u, v, w))
         g = sigma * np.einsum("i,j,k->ijk", u, v, w)
-        slot0 = real_feature_tensors(g)[0]
+        slot0 = tuple(real_feature_tensors(g))[0]
         for seed in range(25):
             als = AlsConfig(
                 rank=3, max_iters=200, rel_tol=1e-12, seed=_tensor_seed(seed, 0)
@@ -469,6 +470,32 @@ def test_extract_features_deterministic():
     f1 = extract_features(g, als)
     f2 = extract_features(g, als)
     assert_array_equal(f1.lambdas, f2.lambdas)
+
+
+def test_extract_features_streams_the_slot_tensors():
+    # A desk-shaped window (T_w=100, F=16, M=32): extract_features must
+    # fit each slot tensor as it is built and drop it, so its allocation
+    # peak stays below the bytes of the window's distinct slot tensors
+    # (about 20.6 MB).  Building all 31 before the first fit peaked at
+    # 33.3 MB; streaming them peaks at 16.3 MB.
+    record = simulate_record(
+        SimConfig(t=100, f=16, m=32, snr_db=20.0, scenario="LOS", seed=1),
+        Activity.ROTATE,
+    )
+    g = record.tensor
+    als = AlsConfig(rank=10, max_iters=16, rel_tol=1e-6, seed=1)
+    distinct = {id(t): t.nbytes for t in tuple(real_feature_tensors(g))}
+    assert len(distinct) == 25  # each family's norm_amp repeats its amp
+    slot_bytes = sum(distinct.values())
+    # The first fit loads scipy; keep that import out of the trace.
+    extract_features(small_window(), als)
+    tracemalloc.start()
+    try:
+        extract_features(g, als)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < slot_bytes, (peak, slot_bytes)
 
 
 # sha256 of extract_features(...).lambdas.tobytes() as the multi-sweep

@@ -1,13 +1,21 @@
-"""Binary tensor file format: layout oracle and corruption handling."""
+"""Binary tensor file format: layout oracle and corruption handling;
+atomic writes of every output file."""
 
+import errno
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+import mimosense.pipeline as pipeline
+import mimosense.tensor_io as tensor_io
+from mimosense.channel import Activity, SimConfig, save_record, simulate_record
 from mimosense.errors import DataError
-from mimosense.tensor_io import load_tensor, save_tensor
+from mimosense.features import FeatureSet, save_features_bin, save_features_csv
+from mimosense.nn import init_model, save_model
+from mimosense.tensor_io import atomic_write, load_tensor, save_tensor
 
 
 def test_round_trip_real(tmp_path):
@@ -106,3 +114,107 @@ def test_load_rejects_non_finite_payload(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(DataError):
         load_tensor(path)
+
+
+# ------------------------------------------------------------ atomic writes
+
+
+class _DiskFull:
+    """A file that takes half of its first write and then fails, as a
+    full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _feature_sets():
+    return [FeatureSet(np.ones((31, 2)), window_id=0, label=Activity.STATIC)]
+
+
+# Every site that writes an output file of the package: the call, and
+# the file whose write fails.
+_WRITERS = {
+    "save_tensor": (
+        lambda d: save_tensor(d / "t.mmt3", np.ones((2, 3, 4))),
+        "t.mmt3",
+    ),
+    "save_record_sidecar": (
+        lambda d: save_record(
+            d / "rec.mmt3", simulate_record(SimConfig(t=8, f=2, m=2), Activity.STATIC)
+        ),
+        "rec.json",
+    ),
+    "save_model": (lambda d: save_model(d / "model.ckpt", init_model(3, 2)), "model.ckpt"),
+    "save_features_csv": (
+        lambda d: save_features_csv(d / "f.csv", _feature_sets()),
+        "f.csv",
+    ),
+    "save_features_bin": (
+        lambda d: save_features_bin(d / "f.bin", _feature_sets()),
+        "f.bin",
+    ),
+    "save_features_bin_schema": (
+        lambda d: save_features_bin(d / "f.bin", _feature_sets()),
+        "f.schema.json",
+    ),
+    "pipeline_write_text": (
+        lambda d: pipeline._write_text(d / "summary.json", "{}\n"),
+        "summary.json",
+    ),
+}
+
+
+def _fail_writes_to(monkeypatch, name):
+    """Make atomic_write's writes to ``name`` fail partway."""
+
+    def fake_open(file, *args, **kwargs):
+        fh = open(file, *args, **kwargs)
+        return _DiskFull(fh) if Path(file).name.startswith(f".{name}.") else fh
+
+    monkeypatch.setattr(tensor_io, "open", fake_open, raising=False)
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_failed_write_leaves_no_file(tmp_path, monkeypatch, writer):
+    write, failing = _WRITERS[writer]
+    _fail_writes_to(monkeypatch, failing)
+    with pytest.raises((OSError, DataError), match="No space left"):
+        write(tmp_path)
+    names = [p.name for p in tmp_path.iterdir()]
+    assert failing not in names
+    assert not [n for n in names if n.endswith(".tmp")], names
+
+
+def _write(path, data):
+    with atomic_write(path) as fh:
+        fh.write(data)
+
+
+def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "out.bin"
+    _write(path, b"old bytes")
+    _fail_writes_to(monkeypatch, path.name)
+    with pytest.raises(OSError):
+        _write(path, b"new bytes, longer than the old")
+    assert path.read_bytes() == b"old bytes"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_atomic_write_replaces_the_file(tmp_path):
+    path = tmp_path / "out.txt"
+    _write(path, b"first")
+    with atomic_write(path, "w", newline="") as fh:
+        fh.write("second\r\n")
+    assert path.read_bytes() == b"second\r\n"
+    assert list(tmp_path.iterdir()) == [path]
