@@ -30,7 +30,6 @@ record is a pure function of its config.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
@@ -38,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .tensor_io import atomic_write, load_tensor, save_tensor
+from .tensor_io import load_tensor, read_json, save_tensor, write_json
 
 __all__ = [
     "Activity",
@@ -416,20 +415,14 @@ def save_record(path, record: SimulatedRecord) -> None:
         "label": int(record.label),
         "lost_runs": _mask_to_runs(record.mask),
     }
-    with atomic_write(path.with_suffix(".json"), "w") as fh:
-        fh.write(json.dumps(sidecar, indent=1))
+    write_json(path.with_suffix(".json"), sidecar)
 
 
 def load_record(path) -> SimulatedRecord:
     """Inverse of save_record; raises DataError on any inconsistency."""
     path = Path(path)
     tensor = load_tensor(path)
-    try:
-        sidecar = json.loads(path.with_suffix(".json").read_text())
-    except OSError as exc:
-        raise DataError(f"{path}: missing sidecar manifest ({exc})") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: corrupt sidecar manifest ({exc})") from exc
+    sidecar = read_json(path.with_suffix(".json"))
     try:
         cfg = SimConfig(**sidecar["sim"])
         # SimulatedRecord checks the tensor shape against (t, f, m).

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import json
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -47,7 +46,7 @@ import numpy as np
 from .channel import Activity
 from .cp import AlsConfig, cp_als, rank_upper_bound, sorted_weights
 from .errors import DataError, NumericError
-from .tensor_io import atomic_write
+from .tensor_io import atomic_write, read_bytes, read_json, write_json
 
 __all__ = [
     "CorrelationSet",
@@ -382,19 +381,13 @@ def save_features_bin(path, feature_sets) -> None:
         "row_layout": ["window_id", "label"]
         + [f"{n}[0..{r_max - 1}]" for n in feature_names()],
     }
-    with atomic_write(path.with_suffix(".schema.json"), "w") as fh:
-        fh.write(json.dumps(schema, indent=1))
+    write_json(path.with_suffix(".schema.json"), schema)
 
 
 def load_features_bin(path) -> list[FeatureSet]:
     path = Path(path)
-    try:
-        schema = json.loads(path.with_suffix(".schema.json").read_text())
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read feature binary ({exc})") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: corrupt feature schema ({exc})") from exc
+    schema = read_json(path.with_suffix(".schema.json"))
+    raw = read_bytes(path)
     try:
         n_rows, r_max = schema["rows"], schema["r_max"]
     except (KeyError, TypeError) as exc:

@@ -12,12 +12,11 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, NumericError
-from .tensor_io import atomic_write
+from .tensor_io import atomic_write, read_bytes
 
 __all__ = [
     "AdamState",
@@ -461,17 +460,14 @@ def save_model(path, model: MlpModel, train_cfg: TrainConfig | None = None) -> N
 
 
 def load_model(path) -> tuple[MlpModel, dict]:
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read checkpoint ({exc})") from exc
+    raw = read_bytes(path)
     if len(raw) < 8 or raw[:4] != _CKPT_MAGIC:
         raise DataError(f"{path}: not a model checkpoint")
     (head_len,) = struct.unpack_from("<I", raw, 4)
     try:
         header = json.loads(raw[8 : 8 + head_len].decode())
         dims = [int(d) for d in header["layer_dims"]]
-    except (ValueError, KeyError, UnicodeDecodeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{path}: corrupt checkpoint header ({exc})") from exc
     blob = np.frombuffer(raw[8 + head_len :], dtype="<f8")
     try:

@@ -43,7 +43,7 @@ from .nn import (
     train,
 )
 from .preprocess import interpolate_lost_frames, segment
-from .tensor_io import atomic_write
+from .tensor_io import atomic_write, write_json
 
 __all__ = [
     "CONTROL_BOUNDS",
@@ -125,26 +125,6 @@ def control_dir(manifest: ExperimentManifest) -> Path:
 # ----------------------------------------------------------------- helpers
 
 
-def _mkdir(path: Path) -> Path:
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise DataError(f"cannot create output directory {path}: {exc}") from exc
-    return path
-
-
-def _write_text(path: Path, text: str) -> None:
-    try:
-        with atomic_write(path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from exc
-
-
-def _write_json(path: Path, obj) -> None:
-    _write_text(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
-
-
 def _fmt_cell(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
@@ -154,7 +134,12 @@ def _fmt_cell(value) -> str:
 def _write_csv(path: Path, header, rows) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt_cell(v) for v in row) for row in rows)
-    _write_text(path, "\n".join(lines) + "\n")
+    with atomic_write(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _record_path(dataset: Path, idx: int) -> Path:
+    return dataset / f"rec-{idx:04d}.mmt3"
 
 
 def _record_seed(base_seed: int, index: int) -> int:
@@ -192,25 +177,18 @@ def _simulate_one(job) -> int:
 
 def run_simulate(manifest: ExperimentManifest, workers: int = 1) -> Path:
     """Write one record pair (.mmt3 + .json) per planned experiment."""
-    out = _mkdir(dataset_dir(manifest))
+    out = dataset_dir(manifest)
     plan = record_plan(manifest)
     jobs = [
-        (
-            idx,
-            int(kind),
-            replace(manifest.sim, seed=seed),
-            str(out / f"rec-{idx:04d}.mmt3"),
-        )
+        (idx, int(kind), replace(manifest.sim, seed=seed), str(_record_path(out, idx)))
         for idx, kind, seed in plan
     ]
-    try:
-        _pool_map(_simulate_one, jobs, workers)
-    except OSError as exc:
-        raise DataError(f"cannot write dataset under {out}: {exc}") from exc
+    _pool_map(_simulate_one, jobs, workers)
     per_activity = {
         kind.name: count for kind, count in manifest.record_counts()
     }
-    _write_json(
+    # Written last: its presence marks a complete dataset.
+    write_json(
         out / "dataset.json",
         {
             "records": len(plan),
@@ -254,14 +232,14 @@ def _featurize_dataset(
     workers: int = 1,
 ) -> list[FeatureSet]:
     source = dataset_dir(manifest)
-    if not source.is_dir():
-        raise DataError(f"dataset not found at {source}; run simulate first")
-    files = sorted(source.glob("rec-*.mmt3"))
-    if not files:
-        raise DataError(f"no record files under {source}")
+    if not (source / "dataset.json").is_file():
+        raise DataError(
+            f"no complete dataset at {source} (dataset.json missing); "
+            "run simulate first"
+        )
     jobs = [
-        (str(path), int(path.stem.split("-")[1]), manifest.t_w, manifest.als, m_keep)
-        for path in files
+        (str(_record_path(source, idx)), idx, manifest.t_w, manifest.als, m_keep)
+        for idx, _, _ in record_plan(manifest)
     ]
     feature_sets: list[FeatureSet] = []
     skipped = 0
@@ -271,9 +249,9 @@ def _featurize_dataset(
             logger.warning("skipping record %04d: %s", rec_idx, problem)
             continue
         feature_sets.extend(feats)
-    if skipped > 0.1 * len(files):
+    if skipped > 0.1 * len(jobs):
         raise DataError(
-            f"{skipped}/{len(files)} records unreadable; dataset too corrupt"
+            f"{skipped}/{len(jobs)} records unreadable; dataset too corrupt"
         )
     return feature_sets
 
@@ -283,12 +261,9 @@ def run_featurize(manifest: ExperimentManifest, workers: int = 1) -> Path:
     writes the CSV/binary feature tables plus a summary of the counts and
     of each slot's CP fits (total sweeps, converged fits)."""
     feats = _featurize_dataset(manifest, workers=workers)
-    out = _mkdir(features_dir(manifest))
-    try:
-        save_features_csv(out / "features.csv", feats)
-        save_features_bin(out / "features.bin", feats)
-    except OSError as exc:
-        raise DataError(f"cannot write features under {out}: {exc}") from exc
+    out = features_dir(manifest)
+    save_features_csv(out / "features.csv", feats)
+    save_features_bin(out / "features.bin", feats)
     per_class: dict[str, int] = {}
     for fs in feats:
         name = fs.label.name if fs.label is not None else "UNLABELED"
@@ -297,7 +272,7 @@ def run_featurize(manifest: ExperimentManifest, workers: int = 1) -> Path:
     # may sit beside the features without breaking reproducible outputs.
     sweeps = np.sum([fs.n_sweeps for fs in feats], axis=0)
     converged = np.sum([fs.converged for fs in feats], axis=0)
-    _write_json(
+    write_json(
         out / "summary.json",
         {
             "rows": len(feats),
@@ -378,10 +353,10 @@ def _load_features(manifest: ExperimentManifest) -> list[FeatureSet]:
 def run_train_eval(manifest: ExperimentManifest) -> dict:
     feats = _load_features(manifest)
     result = _train_eval_features(feats, manifest)
-    out = _mkdir(report_dir(manifest))
+    out = report_dir(manifest)
     cm: ConfusionMatrix = result["confusion"]
     names = [Activity(c).name for c in range(cm.counts.shape[0])]
-    _write_json(
+    write_json(
         out / "metrics.json",
         {
             "accuracy": float(result["accuracy"]),
@@ -405,10 +380,7 @@ def run_train_eval(manifest: ExperimentManifest) -> dict:
         ["epoch", "loss"],
         list(enumerate(result["history"])),
     )
-    try:
-        save_model(out / "model.ckpt", result["model"], manifest.train)
-    except OSError as exc:
-        raise DataError(f"cannot write checkpoint under {out}: {exc}") from exc
+    save_model(out / "model.ckpt", result["model"], manifest.train)
     logger.info(
         "train/eval accuracy %.4f (%d train / %d test) -> %s",
         result["accuracy"],
@@ -432,8 +404,7 @@ def run_sweep(manifest: ExperimentManifest, workers: int = 1) -> list[tuple[int,
         result = _train_eval_features(feats, manifest)
         rows.append((m, float(result["accuracy"])))
         logger.info("sweep M=%d accuracy=%.4f", m, result["accuracy"])
-    out = _mkdir(sweep_dir(manifest))
-    _write_csv(out / "sweep.csv", ["m", "accuracy"], rows)
+    _write_csv(sweep_dir(manifest) / "sweep.csv", ["m", "accuracy"], rows)
     return rows
 
 
@@ -458,8 +429,8 @@ def run_control(manifest: ExperimentManifest) -> dict:
         accuracies[kind.name] = accuracy
     lo, hi = CONTROL_BOUNDS
     verdict = "pass" if all(lo <= a <= hi for a in accuracies.values()) else "fail"
-    out = _mkdir(control_dir(manifest))
-    _write_json(
+    out = control_dir(manifest)
+    write_json(
         out / "control.json",
         {"verdict": verdict, "accuracies": accuracies, "bounds": list(CONTROL_BOUNDS)},
     )

@@ -1,15 +1,21 @@
-"""Binary codec for third-order tensors (``.mmt3`` files).
+"""The package's file layer, and the binary codec for third-order
+tensors (``.mmt3`` files).
 
-Layout: magic ``MMT3``, one element-kind byte (0 = real64, 1 =
+Every file of the package is read through ``read_bytes``/``read_json``
+and written through ``atomic_write``/``write_json``.  These are the only
+places where an ``OSError`` (or invalid JSON) becomes a ``DataError``,
+and its message names the file.  Writes create the parent directory on
+demand.
+
+Tensor layout: magic ``MMT3``, one element-kind byte (0 = real64, 1 =
 complex128), three little-endian u64 dims, then the raw little-endian
 IEEE-754 payload in linearization order (first index fastest; complex
 entries interleaved re, im).
-
-Every output file of the package is written through ``atomic_write``.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import struct
 from contextlib import contextmanager
@@ -30,16 +36,44 @@ def atomic_write(path, mode: str = "wb", **kwargs):
     """Open a sibling temp file of ``path`` with ``open(tmp, mode,
     **kwargs)`` and rename it over ``path`` once the block completes, so
     a killed or failed write never leaves a partial file under the final
-    name.  A block that raises removes the temp file."""
+    name.  Creates the parent directory first.  A block that raises
+    removes the temp file, and any ``OSError`` becomes a ``DataError``
+    that names ``path``."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, mode, **kwargs) as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with open(tmp, mode, **kwargs) as fh:
+                yield fh
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+
+
+def write_json(path, obj) -> None:
+    """``obj`` as JSON with sorted keys, one-space indent and a trailing
+    newline."""
+    with atomic_write(path, "w") as fh:
+        fh.write(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+
+
+def read_bytes(path) -> bytes:
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def read_json(path):
+    raw = read_bytes(path)
+    try:
+        return json.loads(raw)
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
+        raise DataError(f"{path}: invalid JSON ({exc})") from exc
 
 
 def save_tensor(path, tensor) -> None:
@@ -60,10 +94,7 @@ def save_tensor(path, tensor) -> None:
 
 
 def load_tensor(path) -> np.ndarray:
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read tensor file ({exc})") from exc
+    raw = read_bytes(path)
     if len(raw) < _HEADER.size:
         raise DataError(f"{path}: truncated tensor file")
     magic, kind, d1, d2, d3 = _HEADER.unpack_from(raw)

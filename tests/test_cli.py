@@ -189,6 +189,16 @@ def test_out_override_relocates_outputs(manifest_path, work_dir, capsys):
     assert produced.startswith(str(target))
 
 
+def test_uncreatable_output_directory_is_data_error(manifest_path, work_dir, capsys):
+    blocker = work_dir / "a-regular-file"
+    blocker.write_text("")
+    target = blocker / "runs"
+    assert main(["simulate", "--manifest", manifest_path, "--out", str(target)]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err
+    assert str(target) in err
+
+
 def test_module_entry_point_prints_help():
     src = str(Path(mimosense.__file__).resolve().parents[1])
     result = subprocess.run(

@@ -8,6 +8,7 @@ problem where near-perfect accuracy is guaranteed.
 
 import hashlib
 import math
+import struct
 import tracemalloc
 from dataclasses import replace
 
@@ -587,6 +588,18 @@ def test_checkpoint_rejects_truncated_blob(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[:-16])
     with pytest.raises(DataError):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "head",
+    [b"{broken", b"[]", b'{"layer_dims": 3}', b"\xff"],
+    ids=["invalid-json", "list", "scalar-dims", "invalid-utf8"],
+)
+def test_checkpoint_rejects_corrupt_header(tmp_path, head):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(b"MMNN" + struct.pack("<I", len(head)) + head)
+    with pytest.raises(DataError, match="corrupt checkpoint header"):
         load_model(path)
 
 

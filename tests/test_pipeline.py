@@ -250,6 +250,32 @@ def test_featurize_skips_record_losing_a_boundary_snapshot(work_dir, caplog):
     assert all(fs.window_id // 2 != 4 for fs in feats)
 
 
+def test_featurize_refuses_a_killed_simulate(work_dir):
+    # A simulate killed after record 8 of 15 leaves records 0-8 and no
+    # dataset.json, which it writes last.
+    raw = tiny_dict(
+        work_dir,
+        sim={"t": 40, "f": 3, "m": 4, "seed": 28},
+        experiments_per_activity={k.name: 3 for k in Activity},
+    )
+    man = manifest_from_dict(raw)
+    ds = run_simulate(man)
+    for idx in range(9, 15):
+        (ds / f"rec-{idx:04d}.mmt3").unlink()
+        (ds / f"rec-{idx:04d}.json").unlink()
+    meta = ds / "dataset.json"
+    meta_bytes = meta.read_bytes()
+    meta.unlink()
+    with pytest.raises(DataError, match="run simulate first"):
+        run_featurize(man)
+    assert not features_dir(man).exists()
+    # With dataset.json back, the six missing records are unreadable
+    # ones, well over the 10% that featurize skips.
+    meta.write_bytes(meta_bytes)
+    with pytest.raises(DataError, match="6/15 records unreadable"):
+        run_featurize(man)
+
+
 # -------------------------------------------------------------- train/eval
 
 

@@ -1,5 +1,6 @@
 """Binary tensor file format: layout oracle and corruption handling;
-atomic writes of every output file."""
+atomic writes of every output file, and the DataError that names each
+unreadable file."""
 
 import errno
 import struct
@@ -9,13 +10,23 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-import mimosense.pipeline as pipeline
 import mimosense.tensor_io as tensor_io
-from mimosense.channel import Activity, SimConfig, save_record, simulate_record
+from mimosense.channel import (
+    Activity,
+    SimConfig,
+    load_record,
+    save_record,
+    simulate_record,
+)
 from mimosense.errors import DataError
-from mimosense.features import FeatureSet, save_features_bin, save_features_csv
-from mimosense.nn import init_model, save_model
-from mimosense.tensor_io import atomic_write, load_tensor, save_tensor
+from mimosense.features import (
+    FeatureSet,
+    load_features_bin,
+    save_features_bin,
+    save_features_csv,
+)
+from mimosense.nn import init_model, load_model, save_model
+from mimosense.tensor_io import atomic_write, load_tensor, save_tensor, write_json
 
 
 def test_round_trip_real(tmp_path):
@@ -93,11 +104,6 @@ def test_unknown_kind_byte(tmp_path):
         load_tensor(path)
 
 
-def test_missing_file(tmp_path):
-    with pytest.raises(DataError):
-        load_tensor(tmp_path / "absent.mmt3")
-
-
 def test_save_rejects_non_finite(tmp_path):
     t = np.zeros((2, 2, 2))
     t[0, 0, 0] = np.nan
@@ -168,10 +174,7 @@ _WRITERS = {
         lambda d: save_features_bin(d / "f.bin", _feature_sets()),
         "f.schema.json",
     ),
-    "pipeline_write_text": (
-        lambda d: pipeline._write_text(d / "summary.json", "{}\n"),
-        "summary.json",
-    ),
+    "write_json": (lambda d: write_json(d / "summary.json", {}), "summary.json"),
 }
 
 
@@ -189,7 +192,7 @@ def _fail_writes_to(monkeypatch, name):
 def test_failed_write_leaves_no_file(tmp_path, monkeypatch, writer):
     write, failing = _WRITERS[writer]
     _fail_writes_to(monkeypatch, failing)
-    with pytest.raises((OSError, DataError), match="No space left"):
+    with pytest.raises(DataError, match="No space left"):
         write(tmp_path)
     names = [p.name for p in tmp_path.iterdir()]
     assert failing not in names
@@ -205,7 +208,7 @@ def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "out.bin"
     _write(path, b"old bytes")
     _fail_writes_to(monkeypatch, path.name)
-    with pytest.raises(OSError):
+    with pytest.raises(DataError, match="No space left"):
         _write(path, b"new bytes, longer than the old")
     assert path.read_bytes() == b"old bytes"
     assert list(tmp_path.iterdir()) == [path]
@@ -218,3 +221,72 @@ def test_atomic_write_replaces_the_file(tmp_path):
         fh.write("second\r\n")
     assert path.read_bytes() == b"second\r\n"
     assert list(tmp_path.iterdir()) == [path]
+
+
+def _saved_record(d):
+    path = d / "rec.mmt3"
+    save_record(path, simulate_record(SimConfig(t=8, f=2, m=2), Activity.STATIC))
+    return path
+
+
+def _saved_features(d):
+    save_features_bin(d / "f.bin", _feature_sets())
+    return d / "f.bin"
+
+
+def _without(path, name):
+    (path.parent / name).unlink()
+    return path
+
+
+def _broken(path, name):
+    (path.parent / name).write_text("{broken")
+    return path
+
+
+# Every reader of a file of the package, in a state where one file is
+# missing or corrupt: the read, and the file its DataError must name.
+_READERS = {
+    "load_tensor_missing": (lambda d: load_tensor(d / "absent.mmt3"), "absent.mmt3"),
+    "load_record_missing_sidecar": (
+        lambda d: load_record(_without(_saved_record(d), "rec.json")),
+        "rec.json",
+    ),
+    "load_record_corrupt_sidecar": (
+        lambda d: load_record(_broken(_saved_record(d), "rec.json")),
+        "rec.json",
+    ),
+    "load_features_bin_missing_bin": (
+        lambda d: load_features_bin(_without(_saved_features(d), "f.bin")),
+        "f.bin",
+    ),
+    "load_features_bin_missing_schema": (
+        lambda d: load_features_bin(_without(_saved_features(d), "f.schema.json")),
+        "f.schema.json",
+    ),
+    "load_features_bin_corrupt_schema": (
+        lambda d: load_features_bin(_broken(_saved_features(d), "f.schema.json")),
+        "f.schema.json",
+    ),
+    "load_model_missing": (lambda d: load_model(d / "absent.ckpt"), "absent.ckpt"),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+def test_unreadable_file_is_a_data_error_naming_it(tmp_path, reader):
+    read, named = _READERS[reader]
+    with pytest.raises(DataError) as exc:
+        read(tmp_path)
+    assert str(tmp_path / named) in str(exc.value)
+
+
+def test_atomic_write_creates_the_parent_directory(tmp_path):
+    path = tmp_path / "a" / "b" / "out.bin"
+    _write(path, b"bytes")
+    assert path.read_bytes() == b"bytes"
+
+
+def test_write_json_sorts_keys_and_ends_with_a_newline(tmp_path):
+    path = tmp_path / "out.json"
+    write_json(path, {"b": 1, "a": [2]})
+    assert path.read_text() == '{\n "a": [\n  2\n ],\n "b": 1\n}\n'
