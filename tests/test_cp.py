@@ -178,10 +178,9 @@ def test_mode_permutation_leaves_sorted_weights():
 
 
 def record_updates(monkeypatch):
-    """Record the factors every cp_als sweep leaves, (A, B, C) with the
-    weights carried by C, from the sweep's three ``_solve_factor``
-    solutions in mode order: the mode-1 and mode-2 solutions normalized
-    as the sweep stores them, the mode-3 one as it is."""
+    """Record the factors (A, B, C) every cp_als sweep leaves: its three
+    ``_solve_factor`` solutions in mode order, as the sweep keeps them,
+    with no column normalized."""
     sweeps, pending = [], []
     real_solve = cp._solve_factor
 
@@ -189,8 +188,7 @@ def record_updates(monkeypatch):
         new = real_solve(gram, mttkrp)
         pending.append(new.copy())
         if len(pending) == 3:
-            a, b, c = pending
-            sweeps.append((cp._unit_columns(a), cp._unit_columns(b), c))
+            sweeps.append(tuple(pending))
             pending.clear()
         return new
 
@@ -235,6 +233,35 @@ def test_near_exact_fit_takes_dense_residual(monkeypatch):
         assert abs(fit - dense_fit(t, *factors)) <= 1e-10
 
 
+def test_dead_columns_restart_as_e1(monkeypatch):
+    # A zero mode-1 solution column drops its component: A's column
+    # restarts as e1 and C's is zeroed, so the mode-2 solution's column
+    # is zero too and restarts as e1, and the mode-3 update refits the
+    # component.  The first sweep's fit must be that of the restarted
+    # factors, and the fit must go on falling.
+    t = np.abs(np.random.default_rng(2).standard_normal((6, 7, 8)))
+    real_solve, calls = cp._solve_factor, []
+
+    def kill_first(gram, mttkrp):
+        new = real_solve(gram, mttkrp)
+        calls.append(None)
+        if len(calls) == 1:
+            new[:, 2] = 0.0
+        return new
+
+    monkeypatch.setattr(cp, "_solve_factor", kill_first)
+    sweeps = record_updates(monkeypatch)
+    model = cp_als(t, AlsConfig(rank=4, max_iters=8, seed=5))
+    dead = np.arange(4) == 2
+    a, b, c = sweeps[0]
+    assert_array_equal(a[:, 2], 0.0)
+    assert_array_equal(b[:, 2], 0.0)
+    restarted = (cp._restart_dead(a, dead), cp._restart_dead(b, dead), c)
+    fits = np.array(model.diagnostics.fit_errors)
+    assert abs(fits[0] - dense_fit(t, *restarted)) <= 1e-10
+    assert np.all(np.diff(fits) <= 1e-10)
+
+
 def rel_err(got, want):
     return np.linalg.norm(got - want) / np.linalg.norm(want)
 
@@ -254,7 +281,7 @@ def test_tree_mttkrps_match_unfolding_oracle(dims):
     t = rng.standard_normal(dims)
     a_raw, b, c = (rng.standard_normal((d, 10)) for d in dims)
     a_raw[:, 3] = 0.0  # a dead mode-1 solution column
-    a = cp._unit_columns(a_raw)
+    dead = np.arange(10) == 3
     x3 = cp._unfold3(t)
     x1 = x3.reshape(dims[2] * dims[1], dims[0]).T
 
@@ -267,13 +294,14 @@ def test_tree_mttkrps_match_unfolding_oracle(dims):
     assert rel_err(q, np.einsum("ijk,ir->rkj", t, a_raw)) <= 1e-12
     assert_array_equal(q[3], 0.0)
 
-    # P serves modes 1 and 2.  The sweep's mode-2 update sees A
-    # normalized (the dead column as e1) and C scaled by A's column
-    # norms (the dead column zeroed), and contracts P with A unscaled.
+    # P serves modes 1 and 2.  The sweep's mode-2 update sees A with
+    # the dead column restarted as e1 and C with that column zeroed, and
+    # contracts P, formed before the zeroing, with the mode-1 solution
+    # as solved, whose dead column is zero.
     want1 = unfold(t, 1) @ khatri_rao(c, b)
     assert rel_err(cp._contract_middle(p, b), want1) <= 1e-12
-    norms = np.linalg.norm(a_raw, axis=0)
-    want2 = unfold(t, 2) @ khatri_rao(c * norms, a)
+    c_zeroed = np.where(dead, 0.0, c)
+    want2 = unfold(t, 2) @ khatri_rao(c_zeroed, cp._restart_dead(a_raw, dead))
     got2 = cp._contract_last(p, a_raw)
     assert rel_err(got2, want2) <= 1e-12
     assert_array_equal(got2[:, 3], 0.0)
@@ -488,6 +516,22 @@ def test_solve_factor_equals_scipy_cholesky():
         check_finite=False,
     ).T
     assert np.array_equal(cp._solve_factor(gram, mttkrp), want)
+
+
+def test_ridge_retry_is_scale_invariant():
+    # The sweep keeps raw factors, so the same model can reach a solve
+    # with its column scales split differently across the factors.  A
+    # column scaling D of the problem must scale the solution by D^-1,
+    # on the ridge retry too, whose ridge is taken in the Jacobi-scaled
+    # frame.
+    a = np.array([[1.0, 2.0], [0.0, 1.0], [3.0, 1.0], [1.0, 1.0]])
+    gram = a @ a.T  # rank 2 of 4
+    assert cp._dposv(gram, np.eye(4))[2] > 0
+    d = np.diag([1e3, 1.0, 1e-2, 4.0])
+    mttkrp = np.random.default_rng(17).standard_normal((6, 4))
+    want = cp._solve_factor(gram, mttkrp)
+    got = cp._solve_factor(d @ gram @ d, mttkrp @ d) @ d
+    assert rel_err(got, want) <= 1e-12
 
 
 def test_solve_factor_singular_gram_takes_ridge():
