@@ -5,11 +5,19 @@ activations (α = 1) and a softmax output, trained with minibatch Adam
 on categorical cross-entropy.  Everything (forward, backprop, Adam,
 splitting, evaluation) is implemented directly on numpy arrays; no
 autograd or ML framework is involved.
+
+:func:`train` and :func:`grad` share one forward and one backward
+function, and :func:`adam_step` applies Adam in Kingma & Ba's efficient
+order, both bias corrections folded into the step size and ε.  A
+training gathers each epoch's shuffled rows once and takes its batches
+as slices, and the forward pass keeps each hidden layer's min(z, 0),
+from which the backward pass forms the ELU derivative.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -197,14 +205,6 @@ def init_state(model: MlpModel) -> AdamState:
     return AdamState(step=0, m=np.zeros(n), v=np.zeros(n), work=np.empty((2, n)))
 
 
-def _elu(z: np.ndarray) -> np.ndarray:
-    return np.where(z > 0.0, z, np.expm1(np.minimum(z, 0.0)))
-
-
-def _elu_deriv(z: np.ndarray) -> np.ndarray:
-    return np.where(z > 0.0, 1.0, np.exp(np.minimum(z, 0.0)))
-
-
 def _softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
@@ -212,17 +212,27 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 def _forward_pass(model: MlpModel, x: np.ndarray):
-    """Returns (pre-activations per layer, post-activations per layer);
-    the last post-activation holds the class probabilities."""
-    zs, acts = [], [x]
+    """Returns (``min(z, 0)`` per hidden layer, post-activations per
+    layer), z being the layer's pre-activation.
+
+    The ELU is ``where(z > 0, z, expm1(min(z, 0)))``.  Its derivative,
+    ``where(z > 0, 1, exp(min(z, 0)))``, is ``exp(min(z, 0))`` exactly,
+    since exp(0) is 1; :func:`_backward_pass` forms it from the kept
+    ``min(z, 0)``.  The last post-activation holds the class
+    probabilities."""
+    negs, acts = [], [x]
     h = x
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         z = h @ w + b
-        zs.append(z)
-        h = _softmax(z) if i == last else _elu(z)
+        if i == last:
+            h = _softmax(z)
+        else:
+            neg = np.minimum(z, 0.0)
+            negs.append(neg)
+            h = np.where(z > 0.0, z, np.expm1(neg))
         acts.append(h)
-    return zs, acts
+    return negs, acts
 
 
 def forward(model: MlpModel, x) -> np.ndarray:
@@ -262,24 +272,25 @@ def grad(model: MlpModel, batch: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         x, c = x[None, :], c[None, :]
     if x.shape[0] == 0:
         raise ValueError("empty batch")
-    return _backward_pass(
-        model, *_forward_pass(model, x), c, np.empty_like(model.params)
+    out = np.empty_like(model.params)
+    _backward_pass(
+        model, *_forward_pass(model, x), c, _layout(out, model.layer_dims)
     )
+    return out
 
 
-def _backward_pass(model: MlpModel, zs, acts, c: np.ndarray, out: np.ndarray):
-    """Writes the mean gradient of a batch into ``out`` (``params``
-    layout) and returns it, from the batch's forward pass (``zs``,
-    ``acts`` as :func:`_forward_pass` returns them) and its one-hot
-    labels ``c``."""
-    d_ws, d_bs = _layout(out, model.layer_dims)
+def _backward_pass(model: MlpModel, negs, acts, c: np.ndarray, out) -> None:
+    """Writes the mean gradient of a batch into ``out``, the
+    (weights, biases) :func:`_layout` views of a vector in ``params``
+    layout, from the batch's forward pass (``negs``, ``acts`` as
+    :func:`_forward_pass` returns them) and its one-hot labels ``c``."""
+    d_ws, d_bs = out
     delta = (acts[-1] - c) / c.shape[0]
     for layer in range(len(model.weights) - 1, -1, -1):
         np.matmul(acts[layer].T, delta, out=d_ws[layer])
         delta.sum(axis=0, out=d_bs[layer])
         if layer > 0:
-            delta = (delta @ model.weights[layer].T) * _elu_deriv(zs[layer - 1])
-    return out
+            delta = (delta @ model.weights[layer].T) * np.exp(negs[layer - 1])
 
 
 def adam_step(
@@ -287,16 +298,24 @@ def adam_step(
 ) -> tuple[MlpModel, AdamState]:
     """One bias-corrected Adam update of ``model.params`` and the moments
     in ``state``, in place, from the gradient ``g`` in ``params`` layout,
-    which is left unchanged; returns ``(model, state)``."""
+    which is left unchanged; returns ``(model, state)``.
+
+    The moments follow m ← β1·m + (1−β1)·g and v ← β2·v + (1−β2)·g².
+    The update takes Kingma & Ba's (2015, §2) efficient order, which
+    folds both bias corrections into two scalars: θ ← θ − α_t·m/(√v + ε̂)
+    with α_t = lr·√(1−β2ᵗ)/(1−β1ᵗ) and ε̂ = ε·√(1−β2ᵗ).  In exact
+    arithmetic this is the textbook lr·m̂/(√v̂ + ε) with m̂ = m/(1−β1ᵗ)
+    and v̂ = v/(1−β2ᵗ); it makes 12 passes over the parameters, one of
+    them a division and one a square root.
+    """
     state.step += 1
-    corr1 = 1.0 - BETA1**state.step
-    corr2 = 1.0 - BETA2**state.step
+    root_corr2 = math.sqrt(1.0 - BETA2**state.step)
+    step_size = LEARNING_RATE * root_corr2 / (1.0 - BETA1**state.step)
+    eps_hat = EPS * root_corr2
     m, v = state.m, state.v
     a, b = state.work
-    # m ← β1·m + (1−β1)·g and v ← β2·v + (1−β2)·(g·g), then the update
-    # lr·(m/corr1) / (sqrt(v/corr2) + eps), one rounding per operation as
-    # written.  The intermediates go to state.work, since each vector of
-    # this size that is allocated afresh costs page faults.
+    # The intermediates go to state.work, since each vector of this size
+    # that is allocated afresh costs page faults.
     np.multiply(g, g, out=a)
     a *= 1.0 - BETA2
     v *= BETA2
@@ -304,11 +323,9 @@ def adam_step(
     np.multiply(g, 1.0 - BETA1, out=a)
     m *= BETA1
     m += a
-    np.divide(m, corr1, out=a)
-    a *= LEARNING_RATE
-    np.divide(v, corr2, out=b)
-    np.sqrt(b, out=b)
-    b += EPS
+    np.sqrt(v, out=b)
+    b += eps_hat
+    np.multiply(m, step_size, out=a)
     a /= b
     model.params -= a
     return model, state
@@ -339,27 +356,38 @@ def split(
 
 def train(ds: LabeledDataset, cfg: TrainConfig) -> tuple[MlpModel, list[float]]:
     """Minibatch Adam on cross-entropy; returns the final model and the
-    per-epoch mean training loss."""
+    per-epoch mean training loss.
+
+    Each epoch gathers its shuffled rows once, into buffers that the
+    whole training reuses; its batches are consecutive slices of them,
+    so a step gets the same rows as indexing the dataset with that
+    slice of the permutation."""
     model = init_model(ds.inputs.shape[1], ds.labels.shape[1], seed=cfg.seed)
     state = init_state(model)
     g = np.empty_like(model.params)
+    g_views = _layout(g, model.layer_dims)
     rng = np.random.default_rng([cfg.seed, 1])
     history: list[float] = []
     n = len(ds)
+    inputs = np.empty(ds.inputs.shape, ds.inputs.dtype)
+    labels = np.empty(ds.labels.shape, ds.labels.dtype)
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
+        np.take(ds.inputs, order, axis=0, out=inputs)
+        np.take(ds.labels, order, axis=0, out=labels)
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            x, c = ds.inputs[idx], ds.labels[idx]
-            zs, acts = _forward_pass(model, x)
+            x = inputs[start : start + cfg.batch_size]
+            c = labels[start : start + cfg.batch_size]
+            negs, acts = _forward_pass(model, x)
             batch_loss = _batch_loss(acts[-1], c)
             if not np.isfinite(batch_loss):
                 raise NumericError(
                     f"training loss became non-finite at step {state.step}"
                 )
-            epoch_loss += batch_loss * len(idx)
-            adam_step(model, _backward_pass(model, zs, acts, c, g), state)
+            epoch_loss += batch_loss * len(x)
+            _backward_pass(model, negs, acts, c, g_views)
+            adam_step(model, g, state)
         history.append(epoch_loss / n)
     return model, history
 

@@ -15,6 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mimosense import nn
 from mimosense.errors import DataError, NumericError
 from mimosense.nn import (
     HIDDEN_DIMS,
@@ -270,6 +271,36 @@ def test_adam_matches_hand_recurrence():
     assert state.step == len(grads_seq)
 
 
+def test_adam_matches_textbook_recurrence_over_tiny_and_huge_gradients():
+    # The efficient order folds the bias corrections into the step size
+    # and eps_hat = eps * sqrt(1 - beta2**t).  Gradients drawn
+    # log-uniformly over 1e-12..1e2 take sqrt(v) from below eps (the
+    # first step) up to about 1e2, so using eps in place of eps_hat
+    # moves the parameters off the recurrence (by 1e-5 relative here).
+    rng = np.random.default_rng(17)
+    n_steps = 1000
+    grads_seq = rng.choice([-1.0, 1.0], size=(n_steps, 3)) * 10.0 ** rng.uniform(
+        -12.0, 2.0, size=(n_steps, 3)
+    )
+    model = MlpModel(
+        weights=(np.array([[2.0], [-3.0]]),), biases=(np.array([4.0]),)
+    )
+    state = init_state(model)
+    p = [2.0, -3.0, 4.0]
+    m = [0.0, 0.0, 0.0]
+    v = [0.0, 0.0, 0.0]
+    for t, g_row in enumerate(grads_seq, start=1):
+        for k, g in enumerate(g_row.tolist()):
+            m[k] = 0.9 * m[k] + 0.1 * g
+            v[k] = 0.999 * v[k] + 0.001 * g * g
+            p[k] -= 0.001 * (m[k] / (1 - 0.9**t)) / (
+                math.sqrt(v[k] / (1 - 0.999**t)) + 1e-8
+            )
+        adam_step(model, g_row, state)
+        np.testing.assert_allclose(model.params, p, rtol=1e-12, atol=0.0)
+    assert state.step == n_steps
+
+
 def test_adam_updates_in_place_and_leaves_grads():
     model = init_model(3, 2, seed=1)
     state = init_state(model)
@@ -425,6 +456,31 @@ def test_train_steps_equal_grad_then_adam():
         np.testing.assert_array_equal(a, b)
 
 
+def test_train_first_step_gradient_is_grad_of_first_batch(monkeypatch):
+    # train's fused forward/backward must hand adam_step exactly what the
+    # public grad computes for the first batch: one backprop path.
+    rng = np.random.default_rng(6)
+    ds = make_dataset(rng, 45, 7, 3)
+    cfg = TrainConfig(epochs=2, batch_size=16, seed=4)
+    seen = []
+    real_step = nn.adam_step
+
+    def capture(model, g, state):
+        seen.append(g.copy())
+        return real_step(model, g, state)
+
+    monkeypatch.setattr(nn, "adam_step", capture)
+    train(ds, cfg)
+    assert len(seen) == cfg.epochs * math.ceil(len(ds) / cfg.batch_size)
+    first = np.random.default_rng([cfg.seed, 1]).permutation(len(ds))[
+        : cfg.batch_size
+    ]
+    expected = grad(
+        init_model(7, 3, seed=cfg.seed), (ds.inputs[first], ds.labels[first])
+    )
+    np.testing.assert_array_equal(seen[0], expected)
+
+
 def test_train_aborts_on_non_finite_loss():
     # A non-finite input propagates inf into the logits and NaN out of
     # the softmax; training must stop with a numeric error, not loop on.
@@ -551,10 +607,11 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
 
 
 # The parameter bytes of a short training run's checkpoint, recorded
-# when the Adam constants were still TrainConfig fields.  They pin the
-# parameter layout and every rounding of the Adam step: a change that
-# moves this hash changes the trained models and must say so, not
-# update the hash.  The header records the training config.
+# with Adam in Kingma & Ba's efficient order (bias corrections folded
+# into the step size and eps).  They pin the parameter layout and every
+# rounding of the Adam step: a change that moves this hash changes the
+# trained models and must say so, not update the hash.  The header
+# records the training config.
 def test_train_checkpoint_golden_hash(tmp_path):
     rng = np.random.default_rng(8)
     ds = make_dataset(rng, 60, 6, 3)
@@ -566,7 +623,7 @@ def test_train_checkpoint_golden_hash(tmp_path):
     blob = raw[-model.params.nbytes :]
     assert (
         hashlib.sha256(blob).hexdigest()
-        == "814e491272d35f967397cedcb55039b01691136040b344af4cff05e758d4ed02"
+        == "c6299fda8eea81c8f4708bce1ac263030822daab4dfe0c6c8477998b1c955bd4"
     )
     _, header = load_model(path)
     assert header["train_config"] == {

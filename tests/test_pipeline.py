@@ -9,12 +9,14 @@ import csv
 import hashlib
 import json
 import logging
+import math
 from dataclasses import replace as dc_replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mimosense import nn, pipeline
 from mimosense.channel import Activity, load_record
 from mimosense.errors import DataError
 from mimosense.features import (
@@ -416,6 +418,62 @@ def test_control_single_record_activity_is_data_error(work_dir):
     run_featurize(man)
     with pytest.raises(DataError, match="at least 2 records"):
         run_control(man)
+
+
+# ---------------------------------------------------------- trace hooks
+
+
+def test_stages_train_and_step_through_module_globals(work_dir, monkeypatch):
+    # The benchmark's tracer counts trainings and Adam steps by wrapping
+    # nn.train (and pipeline's imported train) and nn.adam_step by name,
+    # and checks the counts against the manifest: one training per
+    # train-eval call, per sweep value and per control activity, and
+    # epochs * ceil(rows / batch) steps per training.  A stage that
+    # reached them another way would break those counts.
+    raw = tiny_dict(
+        work_dir,
+        sim={"t": 40, "f": 3, "m": 4, "seed": 28},
+        t_w=10,
+        experiments_per_activity={
+            "STATIC": 3, "PERIODIC": 2, "RANDOM": 2, "ROTATE_SHIFT": 2, "ROTATE": 4
+        },
+        train={"epochs": 2, "batch_size": 7, "seed": 0},
+    )
+    man = manifest_from_dict(raw)
+    run_simulate(man)
+    run_featurize(man)
+
+    steps_per_training = []
+    steps = [0]
+    real_train, real_step = nn.train, nn.adam_step
+
+    def counted_train(ds, cfg):
+        before = steps[0]
+        result = real_train(ds, cfg)
+        steps_per_training.append(steps[0] - before)
+        return result
+
+    def counted_step(model, g, state):
+        steps[0] += 1
+        return real_step(model, g, state)
+
+    for module in (pipeline, nn):
+        monkeypatch.setattr(module, "train", counted_train)
+    monkeypatch.setattr(nn, "adam_step", counted_step)
+    run_train_eval(man)
+    run_sweep(man)
+    run_control(man)
+
+    k = man.windows_per_record
+    per_activity = [n for _, n in man.record_counts()]
+    epochs, batch = man.train.epochs, man.train.batch_size
+    n_train = math.ceil(man.train.split_fraction * sum(per_activity) * k)
+    # Train-eval and each sweep value train on the same split; the
+    # control trains once per activity on all but its held-out records.
+    rows = [n_train] * (1 + len(man.antenna_sweep))
+    rows += [min(n - 1, math.ceil(0.8 * n)) * k for n in per_activity]
+    assert steps_per_training == [epochs * math.ceil(r / batch) for r in rows]
+    assert steps[0] == sum(steps_per_training)
 
 
 # ------------------------------------------------------- content addressing
