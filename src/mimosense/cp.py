@@ -366,7 +366,8 @@ def cp_als(tensor, config: AlsConfig) -> CpModel:
     So a pair of sweeps contracts the tensor three times instead of
     four: a 16-sweep fit 24 times.  No node outlives the updates it
     serves, so a fit that stops after either sweep wasted no
-    contraction.  P and N are batched GEMMs over slabs of the
+    contraction; P is dropped before N is formed, so the two are never
+    held together.  P and N are batched GEMMs over slabs of the
     unfolding, Q one wide GEMM, and no sweep forms a Khatri-Rao product
     (Hayashi, Ballard, Jiang & Tobia 2018).
 
@@ -467,6 +468,7 @@ def cp_als(tensor, config: AlsConfig) -> CpModel:
             grams[2] = factors[2].T @ factors[2]
         if first:  # P predates a zeroed C column, but a's is zero too
             mttkrp = _contract_last(p, a)
+            del p  # spent: drop it before N is formed
         else:
             q = _partial_mode1(x1, factors[0], dims)
             mttkrp = _contract_middle(q, factors[2])

@@ -24,13 +24,24 @@ classifier consumes their concatenation with each vector's largest
 weight dropped.
 
 The slot tensors stream through their fits: ``real_feature_tensors``
-yields them one at a time in slot order, computing one Gram pair of
-correlations at a time and dropping each correlation once its family is
-done, and ``extract_features`` drops each tensor after its fit.  On a
-simulated LOS desk window (T_w=100, F=16, M=32) the numpy allocations
-of one ``extract_features`` call peak at 16.3 MB, below the 20.6 MB of
-the window's 25 distinct slot tensors; building all 31 before the
-first fit peaked at 33.3 MB.
+yields them one at a time, computing one Gram pair of correlations at a
+time and dropping each correlation once its family is done, and
+``extract_features`` drops each tensor after its fit.  Each family is
+fitted in the order amp, norm_amp, phase, re, im, so that the amp array
+is dropped before the phase is built; ``_FIT_SLOTS`` maps that order to
+the slots, which keep their ALS seeds.  Every correlation tensor is in
+Fortran order (each frontal slice contiguous, first index fastest),
+whatever its size: its Hermitian average is written over the Gram
+product's buffer in place.  That average, the per-slice norms and the
+phase are built a chunk of slices (``_CHUNK_BYTES``) at a time, so their
+temporaries stay a chunk in size.  So besides the window, one Gram pair
+of correlation tensors, one real slot tensor and one fit's working set
+are held at a time.  On a simulated LOS desk window (T_w=100, F=16,
+M=32) the numpy allocations of one ``extract_features`` call peak at
+11.5 MB, 0.56 of the 20.6 MB of the window's 25 distinct slot tensors;
+with whole-tensor temporaries they peaked at 16.3 MB, and building all
+31 before the first fit at 33.3 MB.  On a (100, 16, 100) window the peak is 35.3 MB, where
+whole-tensor temporaries reached 50.9 MB.
 """
 
 from __future__ import annotations
@@ -77,6 +88,14 @@ _CORR_NAMES = (
     "space_corr_per_snapshot",
 )
 _VARIANT_NAMES = ("amp", "phase", "re", "im", "norm_amp")
+# The order in which ``family_tensors`` yields a family's tensors, as
+# indices into _VARIANT_NAMES: norm_amp repeats amp's array, so it is
+# fitted right after amp, and the array is dropped before the phase.
+_FIT_VARIANTS = (0, 4, 1, 2, 3)
+# The slot of each tensor ``real_feature_tensors`` yields, in yield order.
+_FIT_SLOTS = (0,) + tuple(
+    1 + 5 * family + v for family in range(len(_CORR_NAMES)) for v in _FIT_VARIANTS
+)
 
 
 def feature_names() -> list[str]:
@@ -129,22 +148,43 @@ class FeatureSet:
         return self.lambdas.shape[1]
 
 
-def _hermitize(c: np.ndarray) -> np.ndarray:
-    """Average each frontal slice with its conjugate transpose so the
-    Hermitian symmetry holds exactly despite gemm rounding.  The result
-    keeps the layout numpy picks for the sum."""
-    h = c + np.conj(np.transpose(c, (1, 0, 2)))
-    np.multiply(0.5, h, out=h)
-    return h
+# A chunk of slices that the slot builds walk at a time holds at most
+# this many bytes of the tensor it reads, and at least one slice.
+_CHUNK_BYTES = 1 << 18
+
+
+def _chunks(n: int, slice_bytes: int) -> list[slice]:
+    """Consecutive runs of ``n`` slices of ``slice_bytes`` each, each run
+    at most ``_CHUNK_BYTES`` long but at least one slice."""
+    step = max(1, _CHUNK_BYTES // max(1, slice_bytes))
+    return [slice(i, i + step) for i in range(0, n, step)]
+
+
+def _hermitize(stack: np.ndarray) -> np.ndarray:
+    """The (A, A, S) tensor whose frontal slice s averages slice s of a
+    C-contiguous (S, A, A) stack with its conjugate transpose, so the
+    Hermitian symmetry holds exactly despite gemm rounding.
+
+    The average overwrites the stack's own buffer, one chunk of slices
+    at a time, each slice transposed.  The result reads that buffer as
+    (A, A, S), so it is in Fortran order whatever the sizes: each
+    frontal slice is contiguous, first index fastest.  Averaging needs
+    one chunk of scratch, where ``c + conj(cᵀ)`` needs two copies of
+    the tensor."""
+    for s in _chunks(stack.shape[0], stack[:1].nbytes):
+        chunk = stack[s]
+        h = np.conj(chunk)
+        h += chunk.transpose(0, 2, 1)
+        np.multiply(0.5, h, out=chunk)
+    return stack.transpose(2, 1, 0)
 
 
 def _gram_pair(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For slices X_s of a C-contiguous (S, A, B) stack: X_s·X_s^H (A x A)
-    and X_s^H·X_s (B x B), each stacked along the third mode."""
+    and X_s^H·X_s (B x B), each stacked along the third mode in Fortran
+    order."""
     xh = np.conj(np.transpose(x, (0, 2, 1)))
-    left = np.moveaxis(x @ xh, 0, 2)
-    right = np.moveaxis(xh @ x, 0, 2)
-    return _hermitize(left), _hermitize(right)
+    return _hermitize(x @ xh), _hermitize(xh @ x)
 
 
 def corr_per_antenna(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -173,8 +213,13 @@ def correlation_set(g: np.ndarray) -> CorrelationSet:
 
 
 def _slice_norms(x: np.ndarray) -> np.ndarray:
-    """Per-slice Frobenius norms of a real tensor, summed in memory order."""
-    return np.sqrt(np.sum(x * x, axis=(0, 1)))
+    """Per-slice Frobenius norms of a real tensor, each slice summed in
+    memory order, squared one chunk of slices at a time."""
+    out = np.empty(x.shape[2])
+    for s in _chunks(x.shape[2], x[:, :, :1].nbytes):
+        part = x[:, :, s]
+        out[s] = np.sqrt(np.sum(part * part, axis=(0, 1)))
+    return out
 
 
 def _unwrap(p: np.ndarray, axis: int) -> np.ndarray:
@@ -214,23 +259,30 @@ def _unwrap_slices(ang: np.ndarray) -> np.ndarray:
 
 
 def family_tensors(c: np.ndarray) -> Iterator[np.ndarray]:
-    """Yield the five real tensors of a complex correlation tensor C in
-    slot order, each in C's memory layout: |C| and the unwrapped phase,
-    each divided by its own per-slice Frobenius norm, then the real and
-    the imaginary part of C with each slice divided by its Frobenius
-    norm.  As ‖|C|‖ = ‖C‖, the modulus of that normalized C is the first
-    tensor, and the same array is yielded again for the ``norm_amp``
-    slot.  Zero-norm slices map to zero slices.
+    """Yield the five real tensors of a complex correlation tensor C, each
+    in C's memory layout, in the order ``_FIT_VARIANTS`` lists: |C|
+    divided by its per-slice Frobenius norm, the same array again for the
+    ``norm_amp`` slot (as ‖|C|‖ = ‖C‖, it is also the modulus of C with
+    each slice divided by its norm), the unwrapped phase divided by its
+    own per-slice norm, then the real and the imaginary part of C with
+    each slice divided by its norm.  Zero-norm slices map to zero slices.
 
-    Each tensor is built only when the caller asks for it, so a caller
-    that drops each tensor before asking for the next holds one at a
-    time, plus |C|/‖C‖, which the generator keeps for the last slot."""
+    Each tensor is built only when the caller asks for it, and the
+    generator drops |C|/‖C‖ before it builds the phase, so a caller that
+    drops each tensor before asking for the next holds one at a time.
+    The phase and the norms are built a chunk of slices at a time, so
+    their temporaries stay a chunk in size; unwrapping works within a
+    slice, so the chunks change no bit."""
     mag = np.abs(c)
     norms = _slice_norms(mag)  # ‖|C|‖ = ‖C‖ bit for bit: same squares
     norms[norms == 0.0] = 1.0
     mag /= norms
-    yield mag
-    phase = _unwrap_slices(np.angle(c))
+    yield mag  # amp
+    yield mag  # norm_amp
+    del mag
+    phase = np.empty_like(c, dtype=np.float64)
+    for s in _chunks(c.shape[2], c[:, :, :1].nbytes):
+        phase[:, :, s] = _unwrap_slices(np.angle(c[:, :, s]))
     phase_norms = _slice_norms(phase)
     phase_norms[phase_norms == 0.0] = 1.0
     phase /= phase_norms
@@ -239,7 +291,6 @@ def family_tensors(c: np.ndarray) -> Iterator[np.ndarray]:
     inv = 1.0 / norms
     yield c.real * inv
     yield c.imag * inv
-    yield mag
 
 
 @functools.cache
@@ -271,9 +322,11 @@ def phase_reference(g: np.ndarray) -> np.ndarray:
 
 
 def real_feature_tensors(g: np.ndarray) -> Iterator[np.ndarray]:
-    """Yield the 31 real tensors of one window in slot order.  The
-    correlation tensors are computed one Gram pair at a time, and each
-    is dropped once its five tensors have been yielded."""
+    """Yield the 31 real tensors of one window in fit order: slot 0, then
+    each correlation family's five tensors as ``family_tensors`` yields
+    them; ``_FIT_SLOTS`` gives the slot of each.  The correlation
+    tensors are computed one Gram pair at a time, each in Fortran order,
+    and each is dropped once its five tensors have been yielded."""
     g = phase_reference(g)
     yield np.abs(g)
     for gram_pair in (corr_per_antenna, corr_per_subcarrier, corr_per_time):
@@ -281,6 +334,7 @@ def real_feature_tensors(g: np.ndarray) -> Iterator[np.ndarray]:
         yield from family_tensors(first)
         del first
         yield from family_tensors(second)
+        del second
 
 
 def extract_features(
@@ -291,19 +345,23 @@ def extract_features(
 ) -> FeatureSet:
     """CP-decompose the window's 31 real tensors into weight vectors.
 
-    The tensors are fitted in slot order as ``real_feature_tensors``
-    yields them, and each is released before the next is built.  Each
-    tensor is fitted at rank min(als.rank, rank_upper_bound(dims))
-    and its sorted weights are zero-padded to als.rank; each fit's sweep
-    count and convergence flag are kept per slot.  Raises
-    NumericError if any fit diverges (non-finite residual).
+    The tensors are fitted in the order ``real_feature_tensors`` yields
+    them, and each is released before the next is built, so one Gram
+    pair of correlation tensors, one real slot tensor and one fit's
+    working set are held at a time.  Each fit fills the slot that
+    ``_FIT_SLOTS`` names, under that slot's ALS seed.  Each tensor is
+    fitted at rank min(als.rank, rank_upper_bound(dims)) and its sorted
+    weights are zero-padded to als.rank; each fit's sweep count and
+    convergence flag are kept per slot.  Raises NumericError if any fit
+    diverges (non-finite residual).
     """
     g = np.asarray(g)
     if g.ndim != 3:
         raise ValueError(f"expected a third-order window, got ndim={g.ndim}")
     lambdas = np.zeros((N_FEATURE_VECTORS, als.rank))
-    diagnostics = []
-    for slot, tensor in enumerate(real_feature_tensors(g)):
+    n_sweeps = [0] * N_FEATURE_VECTORS
+    converged = [False] * N_FEATURE_VECTORS
+    for slot, tensor in zip(_FIT_SLOTS, real_feature_tensors(g), strict=True):
         r_eff = min(als.rank, rank_upper_bound(tensor.shape))
         cfg = replace(als, rank=r_eff, seed=_tensor_seed(als.seed, slot))
         model = cp_als(tensor, cfg)
@@ -313,15 +371,16 @@ def extract_features(
                 f"({feature_names()[slot]})"
             )
         lambdas[slot, :r_eff] = sorted_weights(model)
-        diagnostics.append(model.diagnostics)
+        n_sweeps[slot] = model.diagnostics.n_sweeps
+        converged[slot] = model.diagnostics.converged
         # Free the tensor before the generator builds the next one.
         del tensor, model
     return FeatureSet(
         lambdas=lambdas,
         window_id=window_id,
         label=label,
-        n_sweeps=tuple(d.n_sweeps for d in diagnostics),
-        converged=tuple(d.converged for d in diagnostics),
+        n_sweeps=tuple(n_sweeps),
+        converged=tuple(converged),
     )
 
 
@@ -416,6 +475,10 @@ def load_features_bin(path) -> list[FeatureSet]:
     ids = rows[:, 0]
     if not np.all(np.isfinite(ids) & (ids >= 0) & (ids == np.round(ids))):
         raise DataError(f"{path}: window ids must be non-negative integers")
+    if np.unique(ids).size != ids.size:
+        # The writer stores each window once; a repeated id could put one
+        # window in both the training and the test split.
+        raise DataError(f"{path}: duplicate window ids")
     if not np.all(np.isin(rows[:, 1], [-1] + [int(k) for k in Activity])):
         raise DataError(f"{path}: labels must be -1 or an activity index")
     out = []

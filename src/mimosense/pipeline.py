@@ -214,14 +214,16 @@ def _featurize_one(job):
         return rec_idx, None, str(exc)
     if m_keep is not None and m_keep < record.tensor.shape[2]:
         record = truncate_antennas(record, m_keep)
+    label = record.label
     clean = interpolate_lost_frames(record.tensor, record.mask)
-    windowed = segment(clean, t_w)
-    k = len(windowed.windows)
+    del record
+    # The windows are copies: release the record before the CP fits.
+    windows = segment(clean, t_w).windows
+    del clean
+    k = len(windows)
     out = [
-        extract_features(
-            window, als, window_id=rec_idx * k + i, label=record.label
-        )
-        for i, window in enumerate(windowed.windows)
+        extract_features(window, als, window_id=rec_idx * k + i, label=label)
+        for i, window in enumerate(windows)
     ]
     return rec_idx, out, None
 

@@ -479,6 +479,39 @@ def test_distinct_components_do_not_merge():
         assert_array_equal(f, k)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rank_two_fit_of_border_rank_tensor_diverges(seed):
+    # T = a∘a∘b + a∘b∘a + b∘a∘a, with a and b orthonormal, has rank 3 but
+    # border rank 2 (de Silva & Lim 2008): rank-2 models come arbitrarily
+    # close, and no rank-2 model is the best.  ALS chases the infimum, so
+    # as the sweep cap grows the fit keeps falling while two components
+    # grow and cancel each other.  This pins the ill-posed case that a
+    # CP feature can fall into: its weights depend on the sweep cap.
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal(4)
+    a /= np.linalg.norm(a)
+    b = rng.standard_normal(4)
+    b -= (b @ a) * a
+    b /= np.linalg.norm(b)
+
+    def outer(x, y, z):
+        return np.einsum("i,j,k->ijk", x, y, z)
+
+    t = outer(a, a, b) + outer(a, b, a) + outer(b, a, a)
+    norm = np.linalg.norm(t)
+    scale, fit = [], []
+    for max_iters in (256, 1024):
+        cfg = AlsConfig(rank=2, max_iters=max_iters, rel_tol=1e-15, seed=seed)
+        model = cp_als(t, cfg)
+        assert model.diagnostics.n_sweeps == max_iters  # never converges
+        scale.append(model.weights.sum() / norm)
+        fit.append(fit_error(model, t))
+    # Seeds 0-2 read Σw/‖T‖ 3.77 → 5.50, 3.99 → 5.57, 4.01 → 5.58 and a
+    # fit of 1.46e-2 → 6.58e-3, 1.29e-2 → 6.40e-3, 1.28e-2 → 6.38e-3.
+    assert scale[1] >= 1.3 * scale[0], scale
+    assert fit[0] >= 1.8 * fit[1], fit
+
+
 def test_scipy_loads_only_when_a_fit_solves():
     # Simulate, train-eval and control never fit CP, so importing the
     # CLI must not pay for scipy.linalg; the first solve loads it.
