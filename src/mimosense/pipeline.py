@@ -216,8 +216,9 @@ def _featurize_one(job):
         record = truncate_antennas(record, m_keep)
     label = record.label
     clean = interpolate_lost_frames(record.tensor, record.mask)
+    # The windows are copies: release the record and its repaired copy
+    # before the CP fits.
     del record
-    # The windows are copies: release the record before the CP fits.
     windows = segment(clean, t_w).windows
     del clean
     k = len(windows)
