@@ -130,6 +130,8 @@ class SimConfig:
             )
         if self.scenario not in ("LOS", "NLOS"):
             raise ValueError(f"scenario must be LOS or NLOS, got {self.scenario!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -400,7 +402,7 @@ def _runs_to_mask(runs, t: int) -> np.ndarray:
     for start, length in runs:
         # Interpolation needs the first and last snapshots; none is lost.
         if start < 1 or length < 0 or start + length > t - 1:
-            raise DataError(f"invalid lost-frame run [{start}, {length}] for T={t}")
+            raise ValueError(f"invalid lost-frame run [{start}, {length}] for T={t}")
         mask[start : start + length] = True
     return mask
 

@@ -67,6 +67,8 @@ class AlsConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.rel_tol <= 0:
             raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -39,14 +39,11 @@ of correlation tensors, one real slot tensor and one fit's working set
 are held at a time.  On a simulated LOS desk window (T_w=100, F=16,
 M=32) the numpy allocations of one ``extract_features`` call peak at
 11.5 MB, 0.56 of the 20.6 MB of the window's 25 distinct slot tensors;
-with whole-tensor temporaries they peaked at 16.3 MB, and building all
-31 before the first fit at 33.3 MB.  On a (100, 16, 100) window the peak is 35.3 MB, where
-whole-tensor temporaries reached 50.9 MB.
+on a (100, 16, 100) window they peak at 35.3 MB.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
@@ -57,7 +54,7 @@ import numpy as np
 from .channel import Activity
 from .cp import AlsConfig, cp_als, rank_upper_bound, sorted_weights
 from .errors import DataError, NumericError
-from .tensor_io import atomic_write, read_bytes, read_json, write_json
+from .tensor_io import atomic_write, read_bytes, read_json, write_csv, write_json
 
 __all__ = [
     "CorrelationSet",
@@ -223,27 +220,16 @@ def _slice_norms(x: np.ndarray) -> np.ndarray:
 
 
 def _unwrap(p: np.ndarray, axis: int) -> np.ndarray:
-    """``np.unwrap(p, axis=axis)`` of a float64 array, bit for bit.  Unless
-    a step reaches π, np.unwrap only copies ``p`` in its layout and adds
-    +0.0 past the first element, turning -0.0 into +0.0.  Otherwise
-    np.unwrap's operations run in its order, in place on one array of
-    corrections, where np.unwrap holds about six temporaries."""
+    """``np.unwrap(p, axis=axis)`` of a float64 array, bit for bit.  Most
+    phase chunks have no step that reaches π.  On those, np.unwrap only
+    copies ``p`` in its layout and adds +0.0 past the first element
+    (turning -0.0 into +0.0), which is done here without np.unwrap's
+    temporaries; other chunks go to np.unwrap."""
     steps = np.diff(p, axis=axis)
-    rest = (slice(None),) * axis + (slice(1, None),)
+    if steps.size and not -np.pi < steps.min() <= steps.max() < np.pi:
+        return np.unwrap(p, axis=axis)
     out = p.copy(order="K")
-    if not steps.size or -np.pi < steps.min() <= steps.max() < np.pi:
-        out[rest] += 0.0
-        return out
-    # Each step's residue in [-π, π), +π for a step of exactly +π, minus
-    # the step; zero where |step| < π; summed along the axis.
-    corr = steps - -np.pi
-    np.mod(corr, 2 * np.pi, out=corr)
-    corr += -np.pi
-    np.copyto(corr, np.pi, where=(corr == -np.pi) & (steps > 0))
-    corr -= steps
-    np.copyto(corr, 0.0, where=(-np.pi < steps) & (steps < np.pi))
-    np.cumsum(corr, axis=axis, out=corr)
-    np.add(p[rest], corr, out=out[rest])
+    out[(slice(None),) * axis + (slice(1, None),)] += 0.0
     return out
 
 
@@ -251,7 +237,7 @@ def _unwrap_slices(ang: np.ndarray) -> np.ndarray:
     """2-D phase unwrap per frontal slice: along each row first, then
     the first column's unwrapped values shift whole rows (2π jumps,
     threshold π)."""
-    u = _unwrap(ang, axis=1) if ang.shape[1] > 1 else ang.copy()
+    u = _unwrap(ang, axis=1)
     if ang.shape[0] > 1:
         col = _unwrap(u[:, 0, :], axis=0)
         u += (col - u[:, 0, :])[:, None, :]
@@ -428,13 +414,11 @@ def save_features_csv(path, feature_sets) -> None:
     header = ["window_id", "label"]
     for name in feature_names():
         header.extend(f"{name}[{j}]" for j in range(r_max))
-    with atomic_write(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [int(row[0]), int(row[1])] + list(map(repr, row[2:].tolist()))
-            )
+    write_csv(
+        path,
+        header,
+        ([int(row[0]), int(row[1])] + row[2:].tolist() for row in rows),
+    )
 
 
 def save_features_bin(path, feature_sets) -> None:

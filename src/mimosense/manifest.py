@@ -218,9 +218,8 @@ def canonical_dict(manifest: ExperimentManifest) -> dict:
 
 
 def reseed(manifest: ExperimentManifest, seed: int) -> ExperimentManifest:
-    """Apply a global seed override to simulation, CP, and training."""
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
+    """Apply a global seed override to simulation, CP, and training;
+    each config rejects a negative seed."""
     return dataclasses.replace(
         manifest,
         sim=dataclasses.replace(manifest.sim, seed=seed),

@@ -77,6 +77,8 @@ class TrainConfig:
             )
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("invalid training hyperparameters")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 class MlpModel:
@@ -388,7 +390,7 @@ def train(ds: LabeledDataset, cfg: TrainConfig) -> tuple[MlpModel, list[float]]:
             epoch_loss += batch_loss * len(x)
             _backward_pass(model, negs, acts, c, g_views)
             adam_step(model, g, state)
-        history.append(epoch_loss / n)
+        history.append(float(epoch_loss / n))
     return model, history
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -43,7 +44,7 @@ from .nn import (
     train,
 )
 from .preprocess import interpolate_lost_frames, segment
-from .tensor_io import atomic_write, write_json
+from .tensor_io import write_csv, write_json
 
 __all__ = [
     "CONTROL_BOUNDS",
@@ -125,19 +126,6 @@ def control_dir(manifest: ExperimentManifest) -> Path:
 # ----------------------------------------------------------------- helpers
 
 
-def _fmt_cell(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt_cell(v) for v in row) for row in rows)
-    with atomic_write(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def _record_path(dataset: Path, idx: int) -> Path:
     return dataset / f"rec-{idx:04d}.mmt3"
 
@@ -204,15 +192,12 @@ def run_simulate(manifest: ExperimentManifest, workers: int = 1) -> Path:
 # --------------------------------------------------------------- featurize
 
 
-def _featurize_one(job):
-    """Windows of one record → FeatureSets; unreadable records are
-    reported, not raised, so one bad file cannot sink the whole batch."""
+def _featurize_one(job) -> list[FeatureSet]:
+    """Windows of one record → FeatureSets.  An unreadable record raises
+    load_record's DataError, which names the file."""
     path, rec_idx, t_w, als, m_keep = job
-    try:
-        record = load_record(path)
-    except DataError as exc:
-        return rec_idx, None, str(exc)
-    if m_keep is not None and m_keep < record.tensor.shape[2]:
+    record = load_record(path)
+    if m_keep < record.tensor.shape[2]:
         record = truncate_antennas(record, m_keep)
     label = record.label
     clean = interpolate_lost_frames(record.tensor, record.mask)
@@ -222,18 +207,18 @@ def _featurize_one(job):
     windows = segment(clean, t_w).windows
     del clean
     k = len(windows)
-    out = [
+    return [
         extract_features(window, als, window_id=rec_idx * k + i, label=label)
         for i, window in enumerate(windows)
     ]
-    return rec_idx, out, None
 
 
 def _featurize_dataset(
-    manifest: ExperimentManifest,
-    m_keep: int | None = None,
-    workers: int = 1,
+    manifest: ExperimentManifest, m_keep: int, workers: int = 1
 ) -> list[FeatureSet]:
+    """The FeatureSets of every record window, in record order, each
+    record cut to its first ``m_keep`` antennas.  The first unreadable
+    record in record order, whatever the worker count, raises."""
     source = dataset_dir(manifest)
     if not (source / "dataset.json").is_file():
         raise DataError(
@@ -244,33 +229,17 @@ def _featurize_dataset(
         (str(_record_path(source, idx)), idx, manifest.t_w, manifest.als, m_keep)
         for idx, _, _ in record_plan(manifest)
     ]
-    feature_sets: list[FeatureSet] = []
-    skipped = 0
-    for rec_idx, feats, problem in _pool_map(_featurize_one, jobs, workers):
-        if problem is not None:
-            skipped += 1
-            logger.warning("skipping record %04d: %s", rec_idx, problem)
-            continue
-        feature_sets.extend(feats)
-    if skipped > 0.1 * len(jobs):
-        raise DataError(
-            f"{skipped}/{len(jobs)} records unreadable; dataset too corrupt"
-        )
-    return feature_sets
+    return [fs for feats in _pool_map(_featurize_one, jobs, workers) for fs in feats]
 
 
 def run_featurize(manifest: ExperimentManifest, workers: int = 1) -> Path:
     """interpolate → segment → CP features for every record window;
     writes the CSV/binary feature tables plus a summary of the counts and
     of each slot's CP fits (total sweeps, converged fits)."""
-    feats = _featurize_dataset(manifest, workers=workers)
+    feats = _featurize_dataset(manifest, manifest.sim.m, workers)
     out = features_dir(manifest)
     save_features_csv(out / "features.csv", feats)
     save_features_bin(out / "features.bin", feats)
-    per_class: dict[str, int] = {}
-    for fs in feats:
-        name = fs.label.name if fs.label is not None else "UNLABELED"
-        per_class[name] = per_class.get(name, 0) + 1
     # Per-slot CP diagnostics over every window: deterministic, so they
     # may sit beside the features without breaking reproducible outputs.
     sweeps = np.sum([fs.n_sweeps for fs in feats], axis=0)
@@ -279,7 +248,7 @@ def run_featurize(manifest: ExperimentManifest, workers: int = 1) -> Path:
         out / "summary.json",
         {
             "rows": len(feats),
-            "per_class": per_class,
+            "per_class": Counter(fs.label.name for fs in feats),
             "t_w": manifest.t_w,
             "r_max": manifest.r_max,
             "input_width": N_FEATURE_VECTORS * (manifest.r_max - 1),
@@ -368,17 +337,17 @@ def run_train_eval(manifest: ExperimentManifest) -> dict:
             "rows": len(feats),
         },
     )
-    _write_csv(
+    write_csv(
         out / "confusion.csv",
         ["true"] + names,
         [[names[i]] + cm.counts[i].tolist() for i in range(len(names))],
     )
-    _write_csv(
+    write_csv(
         out / "precision_recall.csv",
         ["class", "precision", "recall"],
         _precision_recall(cm),
     )
-    _write_csv(
+    write_csv(
         out / "loss_history.csv",
         ["epoch", "loss"],
         list(enumerate(result["history"])),
@@ -403,11 +372,11 @@ def run_sweep(manifest: ExperimentManifest, workers: int = 1) -> list[tuple[int,
     first M antennas, rerun featurize + train/eval per sweep value."""
     rows: list[tuple[int, float]] = []
     for m in manifest.antenna_sweep:
-        feats = _featurize_dataset(manifest, m_keep=m, workers=workers)
+        feats = _featurize_dataset(manifest, m, workers)
         result = _train_eval_features(feats, manifest)
         rows.append((m, float(result["accuracy"])))
         logger.info("sweep M=%d accuracy=%.4f", m, result["accuracy"])
-    _write_csv(sweep_dir(manifest) / "sweep.csv", ["m", "accuracy"], rows)
+    write_csv(sweep_dir(manifest) / "sweep.csv", ["m", "accuracy"], rows)
     return rows
 
 

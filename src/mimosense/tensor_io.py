@@ -2,10 +2,11 @@
 tensors (``.mmt3`` files).
 
 Every file of the package is read through ``read_bytes``/``read_json``
-and written through ``atomic_write``/``write_json``.  These are the only
-places where an ``OSError`` (or invalid JSON) becomes a ``DataError``,
-and its message names the file.  Writes create the parent directory on
-demand.
+and written through ``atomic_write`` (binary files) or
+``write_json``/``write_csv`` (text tables and reports).  These are the
+only places where an ``OSError`` (or invalid JSON) becomes a
+``DataError``, and its message names the file.  Writes create the
+parent directory on demand.
 
 Tensor layout: magic ``MMT3``, one element-kind byte (0 = real64, 1 =
 complex128), three little-endian u64 dims, then the raw little-endian
@@ -32,19 +33,19 @@ _HEADER = struct.Struct("<4sB3Q")
 
 
 @contextmanager
-def atomic_write(path, mode: str = "wb", **kwargs):
-    """Open a sibling temp file of ``path`` with ``open(tmp, mode,
-    **kwargs)`` and rename it over ``path`` once the block completes, so
-    a killed or failed write never leaves a partial file under the final
-    name.  Creates the parent directory first.  A block that raises
-    removes the temp file, and any ``OSError`` becomes a ``DataError``
-    that names ``path``."""
+def atomic_write(path, mode: str = "wb"):
+    """Open a sibling temp file of ``path`` with ``open(tmp, mode)`` and
+    rename it over ``path`` once the block completes, so a killed or
+    failed write never leaves a partial file under the final name.
+    Creates the parent directory first.  A block that raises removes the
+    temp file, and any ``OSError`` becomes a ``DataError`` that names
+    ``path``."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         try:
-            with open(tmp, mode, **kwargs) as fh:
+            with open(tmp, mode) as fh:
                 yield fh
             os.replace(tmp, path)
         except BaseException:
@@ -59,6 +60,17 @@ def write_json(path, obj) -> None:
     newline."""
     with atomic_write(path, "w") as fh:
         fh.write(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """A comma-separated table: the header, then one line per row, each
+    line ending in ``\n``.  Each cell is written as ``str`` writes it,
+    which for a Python float is its ``repr``, so floats read back bit for
+    bit; no cell is quoted.  Rows are written one at a time."""
+    with atomic_write(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def read_bytes(path) -> bytes:

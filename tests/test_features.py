@@ -509,11 +509,10 @@ def test_extract_features_streams_the_slot_tensors():
 
 
 def test_phase_unwrap_fallback_stays_within_the_slot_tensors():
-    # On complex noise, phase steps reach π, so _unwrap applies
-    # np.unwrap's corrections.  Done in place on a chunk of slices at a
-    # time, they must keep extract_features' allocation peak below 0.65
-    # of the bytes of the window's distinct slot tensors (about 20.6 MB),
-    # as on simulated windows.
+    # On complex noise, phase steps reach π, so _unwrap calls np.unwrap.
+    # Run on a chunk of slices at a time, it must keep extract_features'
+    # allocation peak below 0.65 of the bytes of the window's distinct
+    # slot tensors (about 20.6 MB), as on simulated windows.
     g = random_complex(np.random.default_rng(0), (100, 16, 32))
     als = AlsConfig(rank=10, max_iters=16, rel_tol=1e-6, seed=1)
     families = correlation_set(phase_reference(g)).in_slot_order()

@@ -145,6 +145,9 @@ def test_rejects_bad_window_and_rank():
         ({"train": {"seed": False}}, "train.seed"),
         ({"experiments_per_activity": {"A1": 2.5}}, "experiments_per_activity.A1"),
         ({"antenna_sweep": [3, 10.5]}, r"antenna_sweep\[1\]"),
+        ({"sim": {"t": 3000, "f": 100, "m": 100, "seed": -1}}, "seed must be >= 0"),
+        ({"als": {"seed": -1}}, "seed must be >= 0"),
+        ({"train": {"seed": -1}}, "seed must be >= 0"),
     ],
 )
 def test_rejects_booleans_and_non_integral_ints(over, key):

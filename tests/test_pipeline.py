@@ -8,7 +8,6 @@ stage.
 import csv
 import hashlib
 import json
-import logging
 import math
 from dataclasses import replace as dc_replace
 from pathlib import Path
@@ -173,7 +172,7 @@ def test_featurize_summary_reports_cp_fits_per_slot(man, features):
     assert [f["slot"] for f in fits] == feature_names()
     # The feature files keep no diagnostics; a fresh extraction has them.
     assert load_features_bin(features / "features.bin")[0].n_sweeps == ()
-    feats = _featurize_dataset(man)
+    feats = _featurize_dataset(man, man.sim.m)
     assert [f["sweeps"] for f in fits] == [
         sum(fs.n_sweeps[slot] for fs in feats) for slot in range(31)
     ]
@@ -218,38 +217,36 @@ def test_featurize_without_dataset_raises(work_dir):
         run_featurize(ghost)
 
 
-def test_featurize_skips_corrupt_records_up_to_threshold(work_dir):
-    raw = tiny_dict(work_dir, sim={"t": 40, "f": 3, "m": 4, "seed": 24})
-    man = manifest_from_dict(raw)
-    ds = run_simulate(man)
-    victim = ds / "rec-0003.mmt3"
-    victim.write_bytes(victim.read_bytes()[:40])  # truncate payload
-    out = run_featurize(man)
-    feats = load_features_bin(out / "features.bin")
-    assert len(feats) == 18  # one record (2 windows) dropped
-    assert all(fs.window_id // 2 != 3 for fs in feats)
-    # A second corrupt record crosses the 10% threshold.
-    second = ds / "rec-0007.mmt3"
-    second.write_bytes(b"garbage")
-    with pytest.raises(DataError, match="too corrupt"):
-        run_featurize(man)
+def _truncate_payload(ds, idx):
+    path = ds / f"rec-{idx:04d}.mmt3"
+    path.write_bytes(path.read_bytes()[:40])
 
 
-def test_featurize_skips_record_losing_a_boundary_snapshot(work_dir, caplog):
-    man = manifest_from_dict(
-        tiny_dict(work_dir, sim={"t": 40, "f": 3, "m": 4, "seed": 25})
-    )
-    ds = run_simulate(man)
-    sidecar = ds / "rec-0004.json"
+def _lose_first_snapshot(ds, idx):
+    sidecar = ds / f"rec-{idx:04d}.json"
     raw = json.loads(sidecar.read_text())
     raw["lost_runs"] = [[0, 1]]
     sidecar.write_text(json.dumps(raw))
-    with caplog.at_level(logging.WARNING):
-        out = run_featurize(man)
-    assert "skipping record 0004" in caplog.text
-    feats = load_features_bin(out / "features.bin")
-    assert len(feats) == 18
-    assert all(fs.window_id // 2 != 4 for fs in feats)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "corrupt", [_truncate_payload, _lose_first_snapshot], ids=["payload", "boundary"]
+)
+def test_featurize_stops_at_the_first_unreadable_record(tmp_path, corrupt, workers):
+    # One unreadable record in ten stops featurize and the sweep before
+    # they write anything; with two bad records, the error names the
+    # first in record order, whatever the worker count.
+    man = manifest_from_dict(tiny_dict(tmp_path))
+    ds = run_simulate(man)
+    corrupt(ds, 4)
+    _truncate_payload(ds, 7)
+    for stage in (run_featurize, run_sweep):
+        with pytest.raises(DataError, match="rec-0004.mmt3") as exc:
+            stage(man, workers=workers)
+        assert "rec-0007" not in str(exc.value)
+    assert not features_dir(man).exists()
+    assert not sweep_dir(man).exists()
 
 
 def test_featurize_refuses_a_killed_simulate(work_dir):
@@ -271,10 +268,9 @@ def test_featurize_refuses_a_killed_simulate(work_dir):
     with pytest.raises(DataError, match="run simulate first"):
         run_featurize(man)
     assert not features_dir(man).exists()
-    # With dataset.json back, the six missing records are unreadable
-    # ones, well over the 10% that featurize skips.
+    # With dataset.json back, the first missing record stops featurize.
     meta.write_bytes(meta_bytes)
-    with pytest.raises(DataError, match="6/15 records unreadable"):
+    with pytest.raises(DataError, match="rec-0009"):
         run_featurize(man)
 
 

@@ -26,7 +26,13 @@ from mimosense.features import (
     save_features_csv,
 )
 from mimosense.nn import init_model, load_model, save_model
-from mimosense.tensor_io import atomic_write, load_tensor, save_tensor, write_json
+from mimosense.tensor_io import (
+    atomic_write,
+    load_tensor,
+    save_tensor,
+    write_csv,
+    write_json,
+)
 
 
 def test_round_trip_real(tmp_path):
@@ -175,6 +181,10 @@ _WRITERS = {
         "f.schema.json",
     ),
     "write_json": (lambda d: write_json(d / "summary.json", {}), "summary.json"),
+    "write_csv": (
+        lambda d: write_csv(d / "sweep.csv", ["m", "accuracy"], [(2, 0.5)]),
+        "sweep.csv",
+    ),
 }
 
 
@@ -217,9 +227,9 @@ def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch):
 def test_atomic_write_replaces_the_file(tmp_path):
     path = tmp_path / "out.txt"
     _write(path, b"first")
-    with atomic_write(path, "w", newline="") as fh:
-        fh.write("second\r\n")
-    assert path.read_bytes() == b"second\r\n"
+    with atomic_write(path, "w") as fh:
+        fh.write("second\n")
+    assert path.read_bytes() == b"second\n"
     assert list(tmp_path.iterdir()) == [path]
 
 
@@ -290,3 +300,9 @@ def test_write_json_sorts_keys_and_ends_with_a_newline(tmp_path):
     path = tmp_path / "out.json"
     write_json(path, {"b": 1, "a": [2]})
     assert path.read_text() == '{\n "a": [\n  2\n ],\n "b": 1\n}\n'
+
+
+def test_write_csv_writes_one_lf_line_per_row(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a", "b", "c"], [(1, 0.1, "x"), [2, 1 / 3, -0.0]])
+    assert path.read_bytes() == b"a,b,c\n1,0.1,x\n2,0.3333333333333333,-0.0\n"
