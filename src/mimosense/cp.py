@@ -24,7 +24,6 @@ __all__ = [
     "fit_error",
     "rank_upper_bound",
     "reconstruct",
-    "sorted_weights",
 ]
 
 
@@ -73,12 +72,12 @@ class AlsConfig:
 
 @dataclass(frozen=True)
 class CpDiagnostics:
-    """Per-run ALS bookkeeping, serializable via ``vars()``-style access."""
+    """Per-run ALS bookkeeping, serializable via ``vars()``-style access.
+    Only a zero tensor is fitted in no sweep."""
 
     fit_errors: tuple[float, ...] = ()
     n_sweeps: int = 0
     converged: bool = False
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -439,7 +438,7 @@ def cp_als(tensor, config: AlsConfig) -> CpModel:
         return CpModel(
             weights=np.zeros(config.rank),
             factors=tuple(f.copy() for f in factors),
-            diagnostics=CpDiagnostics(degenerate=True, converged=True),
+            diagnostics=CpDiagnostics(converged=True),
         )
 
     x1 = x3.reshape(dims[2] * dims[1], dims[0]).T
@@ -540,10 +539,3 @@ def fit_error(model: CpModel, tensor) -> float:
     norm_t = frobenius_norm(t)
     return resid / norm_t if norm_t > 0.0 else resid
 
-
-def sorted_weights(model: CpModel) -> np.ndarray:
-    """Copy of the descending weight vector, re-verified before return."""
-    w = model.weights
-    if np.any(np.diff(w) > 0) or np.any(w < 0):
-        raise RuntimeError("CP model weights are not finalized descending")
-    return w.copy()

@@ -52,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import Activity
-from .cp import AlsConfig, cp_als, rank_upper_bound, sorted_weights
+from .cp import AlsConfig, cp_als, rank_upper_bound
 from .errors import DataError, NumericError
 from .tensor_io import atomic_write, read_bytes, read_json, write_csv, write_json
 
@@ -132,7 +132,7 @@ class FeatureSet:
     descending-sorted and zero-padded to the shared rank.  ``n_sweeps``
     and ``converged`` hold each slot's CP diagnostics when the set was
     just extracted; the feature files do not store them, so loaded sets
-    leave them empty."""
+    leave them empty.  The feature files store only labeled sets."""
 
     lambdas: np.ndarray  # (31, r_max)
     window_id: int
@@ -341,9 +341,6 @@ def extract_features(
     convergence flag are kept per slot.  Raises NumericError if any fit
     diverges (non-finite residual).
     """
-    g = np.asarray(g)
-    if g.ndim != 3:
-        raise ValueError(f"expected a third-order window, got ndim={g.ndim}")
     lambdas = np.zeros((N_FEATURE_VECTORS, als.rank))
     n_sweeps = [0] * N_FEATURE_VECTORS
     converged = [False] * N_FEATURE_VECTORS
@@ -356,7 +353,7 @@ def extract_features(
                 f"CP fit diverged on feature slot {slot} "
                 f"({feature_names()[slot]})"
             )
-        lambdas[slot, :r_eff] = sorted_weights(model)
+        lambdas[slot, :r_eff] = model.weights
         n_sweeps[slot] = model.diagnostics.n_sweeps
         converged[slot] = model.diagnostics.converged
         # Free the tensor before the generator builds the next one.
@@ -379,18 +376,10 @@ def assemble_input(fs: FeatureSet) -> np.ndarray:
 # ------------------------------------------------------------ persistence
 
 
-def _label_int(label: Activity | None) -> int:
-    return -1 if label is None else int(label)
-
-
-def _label_from_int(value: int) -> Activity | None:
-    return None if value == -1 else Activity(value)
-
-
 def _feature_rows(feature_sets) -> tuple[np.ndarray, int]:
     """The float64 rows (window_id, label, the 31·r_max weights in slot
     order) that both feature files store, and r_max; raises ValueError
-    on an empty input or on mixed r_max."""
+    on an empty input, on mixed r_max or on a set without a label."""
     feature_sets = list(feature_sets)
     if not feature_sets:
         raise ValueError("refusing to write an empty feature file")
@@ -401,8 +390,10 @@ def _feature_rows(feature_sets) -> tuple[np.ndarray, int]:
         (len(feature_sets), 2 + N_FEATURE_VECTORS * r_max), dtype="<f8"
     )
     for i, fs in enumerate(feature_sets):
+        if fs.label is None:
+            raise ValueError(f"window {fs.window_id} carries no label")
         rows[i, 0] = fs.window_id
-        rows[i, 1] = _label_int(fs.label)
+        rows[i, 1] = int(fs.label)
         rows[i, 2:] = fs.lambdas.reshape(-1)
     return rows, r_max
 
@@ -463,15 +454,15 @@ def load_features_bin(path) -> list[FeatureSet]:
         # The writer stores each window once; a repeated id could put one
         # window in both the training and the test split.
         raise DataError(f"{path}: duplicate window ids")
-    if not np.all(np.isin(rows[:, 1], [-1] + [int(k) for k in Activity])):
-        raise DataError(f"{path}: labels must be -1 or an activity index")
+    if not np.all(np.isin(rows[:, 1], [int(k) for k in Activity])):
+        raise DataError(f"{path}: labels must be activity indices")
     out = []
     for row in rows:
         out.append(
             FeatureSet(
                 lambdas=row[2:].reshape(N_FEATURE_VECTORS, r_max).copy(),
                 window_id=int(row[0]),
-                label=_label_from_int(int(row[1])),
+                label=Activity(int(row[1])),
             )
         )
     return out

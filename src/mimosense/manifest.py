@@ -158,7 +158,10 @@ def _config(cls, raw, block: str, **fixed):
             raise ValueError(f"{block}.{f.name} is required")
     types = typing.get_type_hints(cls)
     kwargs = {k: _as(types[k], v, f"{block}.{k}") for k, v in raw.items()}
-    return cls(**kwargs, **fixed)
+    try:
+        return cls(**kwargs, **fixed)
+    except ValueError as exc:
+        raise ValueError(f"{block}: {exc}") from None
 
 
 def manifest_from_dict(raw: dict) -> ExperimentManifest:

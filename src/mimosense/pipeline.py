@@ -15,7 +15,6 @@ import hashlib
 import json
 import logging
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -147,10 +146,19 @@ def record_plan(manifest: ExperimentManifest) -> list[tuple[int, Activity, int]]
 
 
 def _pool_map(fn, jobs, workers: int):
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(job) for job in jobs]
+    """``fn`` of every job, in job order.  Over a pool, the first job in
+    that order to raise cancels those not yet started and is re-raised."""
+    if workers <= 1:
+        return [fn(job) for job in jobs]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, job) for job in jobs]
+        try:
+            return [future.result() for future in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 # ---------------------------------------------------------------- simulate
@@ -271,28 +279,9 @@ def _dataset_from_features(feature_sets) -> LabeledDataset:
     inputs = np.stack([assemble_input(fs) for fs in feature_sets])
     labels = np.zeros((len(feature_sets), N_CLASSES))
     for i, fs in enumerate(feature_sets):
-        if fs.label is None:
-            raise DataError(f"window {fs.window_id} carries no label")
         labels[i, int(fs.label)] = 1.0
     ids = np.array([fs.window_id for fs in feature_sets])
     return LabeledDataset(inputs=inputs, labels=labels, ids=ids)
-
-
-def _precision_recall(cm: ConfusionMatrix) -> list[tuple[str, float, float]]:
-    counts = cm.counts
-    out = []
-    for c in range(counts.shape[0]):
-        tp = float(counts[c, c])
-        col = float(counts[:, c].sum())
-        row = float(counts[c, :].sum())
-        out.append(
-            (
-                Activity(c).name,
-                tp / col if col > 0 else 0.0,
-                tp / row if row > 0 else 0.0,
-            )
-        )
-    return out
 
 
 def _train_eval_features(feature_sets, manifest: ExperimentManifest) -> dict:
@@ -341,11 +330,6 @@ def run_train_eval(manifest: ExperimentManifest) -> dict:
         out / "confusion.csv",
         ["true"] + names,
         [[names[i]] + cm.counts[i].tolist() for i in range(len(names))],
-    )
-    write_csv(
-        out / "precision_recall.csv",
-        ["class", "precision", "recall"],
-        _precision_recall(cm),
     )
     write_csv(
         out / "loss_history.csv",

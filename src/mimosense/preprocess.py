@@ -2,9 +2,11 @@
 
 Lost snapshots (zeroed, flagged in the record mask) are rebuilt by
 linear interpolation between the nearest present snapshots — linear in
-the complex field, i.e. independently on real and imaginary parts.  The
+the complex field, i.e. independently on real and imaginary parts.  A
+record without loss takes the same path and comes back as a copy.  The
 repaired record is then cut into non-overlapping windows of t_w
-snapshots; trailing remainder snapshots are discarded.
+snapshots, all slices of one array and so all of one shape; trailing
+remainder snapshots are discarded.
 """
 
 from __future__ import annotations
@@ -22,11 +24,6 @@ class WindowedRecord:
 
     windows: tuple[np.ndarray, ...]
 
-    def __post_init__(self):
-        shapes = {w.shape for w in self.windows}
-        if len(shapes) > 1:
-            raise ValueError(f"windows have mixed shapes: {shapes}")
-
 
 def interpolate_lost_frames(tensor: np.ndarray, mask) -> np.ndarray:
     """Linearly interpolate lost snapshots from their present neighbors.
@@ -38,8 +35,6 @@ def interpolate_lost_frames(tensor: np.ndarray, mask) -> np.ndarray:
     t = tensor.shape[0]
     if mask.shape != (t,):
         raise ValueError(f"mask length {mask.shape} does not match T={t}")
-    if not mask.any():
-        return tensor.copy()
     if mask[0] or mask[-1]:
         raise ValueError("cannot interpolate a lost boundary snapshot")
 

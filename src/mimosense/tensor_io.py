@@ -8,10 +8,10 @@ only places where an ``OSError`` (or invalid JSON) becomes a
 ``DataError``, and its message names the file.  Writes create the
 parent directory on demand.
 
-Tensor layout: magic ``MMT3``, one element-kind byte (0 = real64, 1 =
-complex128), three little-endian u64 dims, then the raw little-endian
-IEEE-754 payload in linearization order (first index fastest; complex
-entries interleaved re, im).
+Tensor layout: magic ``MMT3``, one element-kind byte (always 1,
+complex128: records are complex channel tensors), three little-endian
+u64 dims, then the raw little-endian IEEE-754 payload in linearization
+order (first index fastest; entries interleaved re, im).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import numpy as np
 from .errors import DataError
 
 MAGIC = b"MMT3"
-_KIND_REAL = 0
 _KIND_COMPLEX = 1
 _HEADER = struct.Struct("<4sB3Q")
 
@@ -92,14 +91,12 @@ def save_tensor(path, tensor) -> None:
     t = np.asarray(tensor)
     if t.ndim != 3:
         raise ValueError(f"expected a third-order tensor, got ndim={t.ndim}")
+    if not np.iscomplexobj(t):
+        raise ValueError(f"expected a complex tensor, got dtype {t.dtype}")
     if not np.isfinite(t).all():
         raise ValueError("refusing to write non-finite tensor entries")
-    if np.iscomplexobj(t):
-        kind, dtype = _KIND_COMPLEX, "<c16"
-    else:
-        kind, dtype = _KIND_REAL, "<f8"
-    header = _HEADER.pack(MAGIC, kind, *t.shape)
-    payload = np.asarray(t, dtype=dtype).ravel(order="F").tobytes()
+    header = _HEADER.pack(MAGIC, _KIND_COMPLEX, *t.shape)
+    payload = np.asarray(t, dtype="<c16").ravel(order="F").tobytes()
     with atomic_write(path) as fh:
         fh.write(header)
         fh.write(payload)
@@ -112,20 +109,16 @@ def load_tensor(path) -> np.ndarray:
     magic, kind, d1, d2, d3 = _HEADER.unpack_from(raw)
     if magic != MAGIC:
         raise DataError(f"{path}: bad magic {magic!r}")
-    if kind == _KIND_REAL:
-        dtype, width = np.dtype("<f8"), 8
-    elif kind == _KIND_COMPLEX:
-        dtype, width = np.dtype("<c16"), 16
-    else:
+    if kind != _KIND_COMPLEX:
         raise DataError(f"{path}: unknown element kind {kind}")
     n = d1 * d2 * d3
     payload = raw[_HEADER.size :]
-    if len(payload) != n * width:
+    if len(payload) != n * 16:
         raise DataError(
             f"{path}: payload length {len(payload)} does not match dims "
             f"{(d1, d2, d3)}"
         )
-    flat = np.frombuffer(payload, dtype=dtype)
+    flat = np.frombuffer(payload, dtype="<c16")
     tensor = flat.reshape((d1, d2, d3), order="F")
     if not np.isfinite(tensor).all():
         raise DataError(f"{path}: non-finite entries in payload")

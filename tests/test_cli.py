@@ -117,7 +117,7 @@ def test_corrupt_feature_label_is_data_error(work_dir, capsys):
     rows[3, 1] = 9.0  # no such activity
     rows.tofile(features)
     assert main(["train-eval", "--manifest", str(path)]) == 3
-    assert "labels must be -1 or an activity index" in capsys.readouterr().err
+    assert "labels must be activity indices" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n_kinds", [5, 4], ids=["empty-test-set", "too-few-rows"])

@@ -21,7 +21,6 @@ from mimosense.cp import (
     fit_error,
     rank_upper_bound,
     reconstruct,
-    sorted_weights,
 )
 from mimosense.tensor_ops import frobenius_norm, khatri_rao, unfold
 
@@ -111,7 +110,7 @@ def test_seeded_determinism():
 def test_zero_tensor_degenerate():
     model = cp_als(np.zeros((3, 3, 3)), AlsConfig(rank=2))
     assert_array_equal(model.weights, np.zeros(2))
-    assert model.diagnostics.degenerate
+    assert model.diagnostics.n_sweeps == 0
     assert_allclose(np.linalg.norm(model.factors[0], axis=0), 1.0)
 
 
@@ -156,21 +155,19 @@ def test_scale_equivariance():
     cfg = AlsConfig(rank=3, max_iters=300, rel_tol=1e-12, seed=1)
     base = cp_als(t, cfg)
     scaled = cp_als(2.5 * t, cfg)
-    assert_allclose(
-        sorted_weights(scaled), 2.5 * sorted_weights(base), rtol=1e-6
-    )
+    assert_allclose(scaled.weights, 2.5 * base.weights, rtol=1e-6)
     assert_allclose(fit_error(scaled, 2.5 * t), fit_error(base, t), atol=1e-8)
 
 
 def test_mode_permutation_leaves_sorted_weights():
     t, _ = rank3_oracle(seed=12)
     cfg = AlsConfig(rank=3, max_iters=300, rel_tol=1e-12, seed=2)
-    base = sorted_weights(cp_als(t, cfg))
+    base = cp_als(t, cfg).weights
     rng = np.random.default_rng(30)
     for axis in range(3):
         perm = rng.permutation(t.shape[axis])
         shuffled = np.take(t, perm, axis=axis)
-        got = sorted_weights(cp_als(shuffled, cfg))
+        got = cp_als(shuffled, cfg).weights
         assert_allclose(got, base, rtol=1e-6, atol=1e-8)
 
 
@@ -514,12 +511,15 @@ def test_rank_two_fit_of_border_rank_tensor_diverges(seed):
 
 def test_scipy_loads_only_when_a_fit_solves():
     # Simulate, train-eval and control never fit CP, so importing the
-    # CLI must not pay for scipy.linalg; the first solve loads it.
+    # CLI must not pay for scipy.linalg; the first solve loads it.  Nor
+    # must it load the process pool, which only --workers above 1 uses.
     code = (
         "import sys\n"
         "import numpy as np\n"
         "import mimosense.cli\n"
         "assert 'scipy' not in sys.modules, 'scipy loaded at import'\n"
+        "assert 'concurrent.futures.process' not in sys.modules, "
+        "'the process pool loaded at import'\n"
         "from mimosense.cp import AlsConfig, cp_als, fit_error\n"
         "rng = np.random.default_rng(0)\n"
         "a, b, c = (rng.standard_normal((d, 2)) for d in (4, 5, 6))\n"
@@ -657,31 +657,3 @@ def test_rank_upper_bound_values(dims, expected):
 @settings(max_examples=50, deadline=None)
 def test_rank_upper_bound_is_min_pair_product(d1, d2, d3):
     assert rank_upper_bound((d1, d2, d3)) == min(d1 * d2, d1 * d3, d2 * d3)
-
-
-# ---------------------------------------------------- sorted_weights
-
-
-def test_sorted_weights_preserves_ties():
-    model = CpModel(
-        weights=np.array([3.0, 3.0, 1.0]),
-        factors=tuple(np.eye(3) for _ in range(3)),
-    )
-    assert_array_equal(sorted_weights(model), [3.0, 3.0, 1.0])
-
-
-def test_sorted_weights_rejects_unsorted():
-    model = CpModel(
-        weights=np.array([1.0, 3.0]),
-        factors=tuple(np.eye(2) for _ in range(3)),
-    )
-    with pytest.raises(RuntimeError):
-        sorted_weights(model)
-
-
-def test_sorted_weights_rank3_multiset():
-    t, weights = rank3_oracle(seed=10)
-    model = cp_als(t, AlsConfig(rank=3, max_iters=500, rel_tol=1e-10))
-    assert_allclose(
-        np.sort(sorted_weights(model)), np.sort(weights), atol=1e-4
-    )

@@ -4,6 +4,7 @@ CP-weight layout, and persistence."""
 import csv
 import hashlib
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -812,6 +813,18 @@ def test_feature_writers_reject_empty_and_mixed_r_max(tmp_path, save):
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "save", [save_features_csv, save_features_bin], ids=["csv", "bin"]
+)
+def test_feature_writers_refuse_an_unlabeled_set(tmp_path, save):
+    sets = make_feature_sets(n=3)
+    sets[1] = replace(sets[1], label=None)
+    path = tmp_path / "features.out"
+    with pytest.raises(ValueError, match="window 1 carries no label"):
+        save(path, sets)
+    assert not path.exists()
+
+
 def test_feature_bin_missing_schema(tmp_path):
     sets = make_feature_sets(seed=18)
     path = tmp_path / "features.bin"
@@ -827,6 +840,7 @@ def test_feature_bin_missing_schema(tmp_path):
         (1, 0.5, "labels"),
         (1, 9.0, "labels"),
         (1, np.nan, "labels"),
+        (1, -1.0, "labels"),
         (0, 1.5, "window ids"),
         (0, np.nan, "window ids"),
         (0, -1.0, "window ids"),
@@ -836,6 +850,7 @@ def test_feature_bin_missing_schema(tmp_path):
         "label-0.5",
         "label-9",
         "label-nan",
+        "label-minus-1",
         "id-1.5",
         "id-nan",
         "id-negative",

@@ -148,6 +148,10 @@ def test_rejects_bad_window_and_rank():
         ({"sim": {"t": 3000, "f": 100, "m": 100, "seed": -1}}, "seed must be >= 0"),
         ({"als": {"seed": -1}}, "seed must be >= 0"),
         ({"train": {"seed": -1}}, "seed must be >= 0"),
+        # A config's own check names the block it came from.
+        ({"sim": {"t": 3000, "f": 100, "m": 100, "seed": -1}}, "sim: seed must"),
+        ({"als": {"seed": -1}}, "als: seed must be >= 0, got -1"),
+        ({"train": {"seed": -1}}, "train: seed must"),
     ],
 )
 def test_rejects_booleans_and_non_integral_ints(over, key):

@@ -9,6 +9,7 @@ import csv
 import hashlib
 import json
 import math
+import time
 from dataclasses import replace as dc_replace
 from pathlib import Path
 
@@ -249,6 +250,24 @@ def test_featurize_stops_at_the_first_unreadable_record(tmp_path, corrupt, worke
     assert not sweep_dir(man).exists()
 
 
+def _mark_or_fail(job):
+    index, marks = job
+    if index == 0:
+        raise DataError("job 0 fails")
+    Path(marks, f"{index}").touch()
+    time.sleep(0.2)
+    return index
+
+
+def test_pool_map_stops_at_the_first_failure(tmp_path):
+    # The first failure cancels the jobs the pool has not started: of 40
+    # jobs, only those already handed to its two workers run.
+    jobs = [(index, str(tmp_path)) for index in range(40)]
+    with pytest.raises(DataError, match="job 0 fails"):
+        pipeline._pool_map(_mark_or_fail, jobs, workers=2)
+    assert len(list(tmp_path.iterdir())) < 10
+
+
 def test_featurize_refuses_a_killed_simulate(work_dir):
     # A simulate killed after record 8 of 15 leaves records 0-8 and no
     # dataset.json, which it writes last.
@@ -306,8 +325,13 @@ def test_train_eval_reports(man, features):
     assert model.layer_dims == (31, 64, 32, 32, 32, 5)
     assert header["train_config"]["epochs"] == 4
 
-    pr = (out / "precision_recall.csv").read_text().strip().splitlines()
-    assert len(pr) == 6 and pr[0] == "class,precision,recall"
+    # confusion.csv holds every count a per-class report would derive.
+    assert sorted(p.name for p in out.iterdir()) == [
+        "confusion.csv",
+        "loss_history.csv",
+        "metrics.json",
+        "model.ckpt",
+    ]
 
 
 def test_train_eval_rerun_is_byte_identical(man, features):

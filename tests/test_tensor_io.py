@@ -35,12 +35,22 @@ from mimosense.tensor_io import (
 )
 
 
-def test_round_trip_real(tmp_path):
-    rng = np.random.default_rng(0)
-    t = rng.standard_normal((3, 4, 5))
+def test_save_refuses_a_real_tensor(tmp_path):
+    # Records are complex; the format has no real kind.
     path = tmp_path / "t.mmt3"
-    save_tensor(path, t)
-    assert_array_equal(load_tensor(path), t)
+    with pytest.raises(ValueError, match="complex"):
+        save_tensor(path, np.ones((3, 4, 5)))
+    assert not path.exists()
+
+
+def test_load_refuses_the_real_kind(tmp_path):
+    # Kind byte 0 once meant real64: a file with it is of an unknown kind.
+    path = tmp_path / "t.mmt3"
+    header = struct.pack("<4sB3Q", b"MMT3", 0, 1, 1, 2)
+    path.write_bytes(header + struct.pack("<2d", 1.0, 2.0))
+    with pytest.raises(DataError, match="unknown element kind 0") as raised:
+        load_tensor(path)
+    assert str(path) in str(raised.value)
 
 
 def test_round_trip_complex(tmp_path):
@@ -57,15 +67,15 @@ def test_byte_layout_oracle(tmp_path):
     # Parse the raw bytes independently: magic, kind byte, three
     # little-endian u64 dims, then the payload with the first index
     # fastest (entry (i,j,k) at offset i + j*d1 + k*d1*d2).
-    t = np.arange(24, dtype=float).reshape((2, 3, 4), order="F")
+    t = np.arange(24).reshape((2, 3, 4), order="F") * (1.0 - 0.5j)
     path = tmp_path / "t.mmt3"
     save_tensor(path, t)
     raw = path.read_bytes()
     magic, kind, d1, d2, d3 = struct.unpack_from("<4sB3Q", raw)
     assert magic == b"MMT3"
-    assert kind == 0
+    assert kind == 1
     assert (d1, d2, d3) == (2, 3, 4)
-    payload = np.frombuffer(raw[struct.calcsize("<4sB3Q"):], dtype="<f8")
+    payload = np.frombuffer(raw[struct.calcsize("<4sB3Q"):], dtype="<c16")
     for i in range(2):
         for j in range(3):
             for k in range(4):
@@ -83,7 +93,7 @@ def test_complex_payload_interleaved(tmp_path):
 
 def test_bad_magic(tmp_path):
     path = tmp_path / "t.mmt3"
-    save_tensor(path, np.zeros((1, 1, 1)))
+    save_tensor(path, np.zeros((1, 1, 1), dtype=complex))
     raw = bytearray(path.read_bytes())
     raw[:4] = b"NOPE"
     path.write_bytes(bytes(raw))
@@ -93,7 +103,7 @@ def test_bad_magic(tmp_path):
 
 def test_truncated_payload(tmp_path):
     path = tmp_path / "t.mmt3"
-    save_tensor(path, np.ones((2, 2, 2)))
+    save_tensor(path, np.ones((2, 2, 2), dtype=complex))
     raw = path.read_bytes()
     path.write_bytes(raw[:-5])
     with pytest.raises(DataError):
@@ -102,7 +112,7 @@ def test_truncated_payload(tmp_path):
 
 def test_unknown_kind_byte(tmp_path):
     path = tmp_path / "t.mmt3"
-    save_tensor(path, np.zeros((1, 1, 1)))
+    save_tensor(path, np.zeros((1, 1, 1), dtype=complex))
     raw = bytearray(path.read_bytes())
     raw[4] = 9
     path.write_bytes(bytes(raw))
@@ -111,18 +121,18 @@ def test_unknown_kind_byte(tmp_path):
 
 
 def test_save_rejects_non_finite(tmp_path):
-    t = np.zeros((2, 2, 2))
+    t = np.zeros((2, 2, 2), dtype=complex)
     t[0, 0, 0] = np.nan
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-finite"):
         save_tensor(tmp_path / "t.mmt3", t)
 
 
 def test_load_rejects_non_finite_payload(tmp_path):
     path = tmp_path / "t.mmt3"
-    save_tensor(path, np.zeros((1, 1, 1)))
+    save_tensor(path, np.zeros((1, 1, 1), dtype=complex))
     raw = bytearray(path.read_bytes())
     header = struct.calcsize("<4sB3Q")
-    raw[header:] = struct.pack("<d", np.inf)
+    raw[header:] = struct.pack("<2d", 0.0, np.inf)
     path.write_bytes(bytes(raw))
     with pytest.raises(DataError):
         load_tensor(path)
@@ -158,7 +168,7 @@ def _feature_sets():
 # the file whose write fails.
 _WRITERS = {
     "save_tensor": (
-        lambda d: save_tensor(d / "t.mmt3", np.ones((2, 3, 4))),
+        lambda d: save_tensor(d / "t.mmt3", np.ones((2, 3, 4), dtype=complex)),
         "t.mmt3",
     ),
     "save_record_sidecar": (
