@@ -237,105 +237,6 @@ def _solve_factor(gram: np.ndarray, mttkrp: np.ndarray) -> np.ndarray:
     return y.T / d
 
 
-# Column cosines at or above this magnitude count as the same direction.
-# The ridge bias keeps duplicates ~1e-6 off perfect alignment, hence the
-# loose threshold; genuinely distinct components sit nowhere near it.
-_PARALLEL = 1.0 - 1e-5
-
-# A group of components on one direction in one mode collapses when the
-# rest of its contribution is rank one to this relative precision.
-_RANK_ONE = 1e-8
-
-
-def _refresh_cosines(factors, cosines, n: int, i: int) -> None:
-    """Recompute row and column ``i`` of ``cosines[n]`` after column ``i``
-    of ``factors[n]`` changed."""
-    cosines[n][i, :] = factors[n][:, i] @ factors[n]
-    cosines[n][:, i] = cosines[n][i, :]
-
-
-def _merge_duplicates(factors, scales, cosines) -> None:
-    """Collapse components that share directions, in place.
-
-    ``factors`` hold unit columns, ``scales`` the component weights and
-    ``cosines[m]`` the Gram matrix of ``factors[m]``.  Over-rank fits on
-    low-rank data leave several components on one rank-one direction, or
-    components equal in one or two modes that differ in the rest, with an
-    arbitrary split of the scale.  The individual weights are not
-    identifiable, but their combination is:
-
-    * three or more components parallel to component i in one mode,
-      whose combined contribution there is v_i ∘ M with M of rank one
-      (to ``_RANK_ONE``): they become one component, v_i ∘ (M's leading
-      singular pair), weighted by M's largest singular value;
-    * two parallel in all three modes: component j's signed weight is
-      added to component i's;
-    * two parallel in two modes: component i's vector in the third (free)
-      mode becomes the signed, weighted sum of both components' vectors,
-      normalized, and its norm becomes the weight.
-
-    The merged-away components get weight 0.  The group rule keeps the
-    represented tensor to ``_RANK_ONE``; the pair rules keep it up to the
-    components' misalignment, which they allow up to ``_PARALLEL``.  So
-    the group rule runs first: a pair merge would hide the group's rank
-    one.  Two components alone form a rank-one M only when they are
-    parallel in a second mode, which the pair rules cover.
-    """
-    rank = scales.shape[0]
-    # Every rule needs two components parallel in some mode; most fits
-    # have none, so skip the loops.
-    if all(np.count_nonzero(np.abs(c) >= _PARALLEL) <= rank for c in cosines):
-        return
-    for m in range(3):
-        rest = [n for n in range(3) if n != m]
-        x, y = (factors[n] for n in rest)
-        for i in range(rank):
-            if scales[i] == 0.0:
-                continue
-            group = [
-                j
-                for j in range(i, rank)
-                if scales[j] != 0.0 and abs(cosines[m][i, j]) >= _PARALLEL
-            ]
-            if len(group) < 3:
-                continue
-            signed = np.sign(cosines[m][i, group]) * scales[group]
-            u, s, vt = np.linalg.svd((x[:, group] * signed) @ y[:, group].T)
-            if np.linalg.norm(s[1:]) > _RANK_ONE * s[0]:
-                continue
-            scales[group] = 0.0
-            scales[i] = s[0]
-            x[:, i], y[:, i] = u[:, 0], vt[0]
-            for n in rest:
-                _refresh_cosines(factors, cosines, n, i)
-    for i in range(rank):
-        if scales[i] == 0.0:
-            continue
-        for j in range(i + 1, rank):
-            if scales[j] == 0.0:
-                continue
-            cos = [c[i, j] for c in cosines]
-            if abs(cos[0] * cos[1] * cos[2]) >= _PARALLEL:
-                merged = scales[i] + np.sign(cos[0] * cos[1] * cos[2]) * scales[j]
-                if merged < 0.0:
-                    factors[0][:, i] = -factors[0][:, i]
-                    cosines[0][i, :] = -cosines[0][i, :]
-                    cosines[0][:, i] = -cosines[0][:, i]
-                    merged = -merged
-                scales[i] = merged
-                scales[j] = 0.0
-            elif sum(abs(cm) >= _PARALLEL for cm in cos) >= 2:
-                free = int(np.argmin(np.abs(cos)))
-                sign = np.prod([np.sign(cm) for m, cm in enumerate(cos) if m != free])
-                f = factors[free]
-                v = scales[i] * f[:, i] + sign * scales[j] * f[:, j]
-                scales[i] = np.linalg.norm(v)
-                scales[j] = 0.0
-                if scales[i] > 0.0:
-                    f[:, i] = v / scales[i]
-                    _refresh_cosines(factors, cosines, free, i)
-
-
 def cp_als(tensor, config: AlsConfig) -> CpModel:
     """Fit a CP model by alternating least squares.
 
@@ -406,15 +307,9 @@ def cp_als(tensor, config: AlsConfig) -> CpModel:
     factors, and so the weights, do not depend on which residual was
     taken.  ||X|| is summed over the unfolding in memory order.
 
-    Over-rank fits leave components that share directions, with an
-    arbitrary split of the weight.  After the last sweep
-    ``_merge_duplicates`` collapses them: two components parallel in all
-    three modes (|cos| of 1 - 1e-5 or more) merge into one with their
-    signed weight sum; two parallel in two modes merge into one whose
-    vector in the third mode is their signed, weighted sum, normalized,
-    with its norm as the weight; and three or more parallel in one mode
-    whose joint term is rank one become that rank-one term.  The freed
-    components get weight zero.
+    Over-rank fits may leave components that share a direction and
+    split a weight; ``cp_als`` returns them as fitted, so the returned
+    model's residual is its last recorded fit.
     """
     t = np.asarray(tensor, dtype=np.float64)
     if t.ndim != 3:
@@ -512,8 +407,6 @@ def cp_als(tensor, config: AlsConfig) -> CpModel:
     ]
     scales = np.linalg.norm(factors[2], axis=0)
     factors[2] = _unit_columns(factors[2], scales)
-    cosines = [f.T @ f for f in factors]
-    _merge_duplicates(factors, scales, cosines)
     order = np.argsort(-scales, kind="stable")
     return CpModel(
         weights=scales[order],

@@ -75,8 +75,10 @@ class TrainConfig:
             raise ValueError(
                 f"split_fraction must be in (0, 1), got {self.split_fraction}"
             )
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("invalid training hyperparameters")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

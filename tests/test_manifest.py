@@ -152,6 +152,8 @@ def test_rejects_bad_window_and_rank():
         ({"sim": {"t": 3000, "f": 100, "m": 100, "seed": -1}}, "sim: seed must"),
         ({"als": {"seed": -1}}, "als: seed must be >= 0, got -1"),
         ({"train": {"seed": -1}}, "train: seed must"),
+        ({"train": {"epochs": -1}}, "train: epochs must be >= 0, got -1"),
+        ({"train": {"batch_size": 0}}, "train: batch_size must be >= 1, got 0"),
     ],
 )
 def test_rejects_booleans_and_non_integral_ints(over, key):
