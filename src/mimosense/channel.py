@@ -54,7 +54,6 @@ __all__ = [
     "motion_parameters",
     "save_record",
     "simulate_record",
-    "truncate_antennas",
 ]
 
 
@@ -141,18 +140,6 @@ class RfChainModel:
     d: np.ndarray  # (M,) amplitudes, > 0
     phi: np.ndarray  # (M,) initial phases, rad
     eta: np.ndarray  # (M, F) frequency offsets, rad per snapshot
-
-    def __post_init__(self):
-        d, phi, eta = (np.asarray(a, dtype=float) for a in (self.d, self.phi, self.eta))
-        if d.ndim != 1 or phi.shape != d.shape:
-            raise ValueError("d and phi must be equal-length vectors")
-        if eta.ndim != 2 or eta.shape[0] != d.shape[0]:
-            raise ValueError(f"eta must be (M, F) with M={d.shape[0]}, got {eta.shape}")
-        if np.any(d <= 0):
-            raise ValueError("chain amplitudes d must be positive")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "eta", eta)
 
 
 @dataclass(frozen=True)
@@ -312,12 +299,7 @@ def draw_rf_chain(cfg: SimConfig) -> RfChainModel:
 
 def apply_rf_chain(h: np.ndarray, rf: RfChainModel) -> np.ndarray:
     """out(t,f,m) = h(t,f,m) · d_m · exp(j(φ_m − t·η_{m,f}))."""
-    t, f, m = h.shape
-    if rf.d.shape != (m,) or rf.eta.shape != (m, f):
-        raise ValueError(
-            f"rf chain dims {rf.eta.shape} do not match tensor (F={f}, M={m})"
-        )
-    t_arr = np.arange(t)
+    t_arr = np.arange(h.shape[0])
     phase = rf.phi[None, None, :] - t_arr[:, None, None] * rf.eta.T[None, :, :]
     return h * (rf.d[None, None, :] * np.exp(1j * phase))
 
@@ -341,8 +323,6 @@ def add_noise(y: np.ndarray, snr_db: float, seed) -> np.ndarray:
 def inject_frame_loss(y: np.ndarray, p: float, seed) -> tuple[np.ndarray, np.ndarray]:
     """Zero each interior snapshot with probability p (never the first
     or last); returns (tensor, mask) with mask True at lost snapshots."""
-    if not 0.0 <= p < 0.5:
-        raise ValueError(f"loss probability must be in [0, 0.5), got {p}")
     t = y.shape[0]
     mask = np.zeros(t, dtype=bool)
     if p > 0.0 and t > 2:
@@ -437,17 +417,3 @@ def load_record(path) -> SimulatedRecord:
     except (KeyError, ValueError, TypeError) as exc:
         raise DataError(f"{path}: invalid sidecar manifest ({exc})") from exc
 
-
-def truncate_antennas(record: SimulatedRecord, m: int) -> SimulatedRecord:
-    """Keep only the first m antennas (row-wise array numbering), as the
-    antenna-sweep protocol prescribes."""
-    if not 1 <= m <= record.manifest.m:
-        raise ValueError(
-            f"cannot truncate to {m} antennas from {record.manifest.m}"
-        )
-    return SimulatedRecord(
-        tensor=np.ascontiguousarray(record.tensor[:, :, :m]),
-        mask=record.mask,
-        label=record.label,
-        manifest=dataclasses.replace(record.manifest, m=m),
-    )

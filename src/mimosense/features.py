@@ -379,13 +379,9 @@ def assemble_input(fs: FeatureSet) -> np.ndarray:
 def _feature_rows(feature_sets) -> tuple[np.ndarray, int]:
     """The float64 rows (window_id, label, the 31·r_max weights in slot
     order) that both feature files store, and r_max; raises ValueError
-    on an empty input, on mixed r_max or on a set without a label."""
-    feature_sets = list(feature_sets)
-    if not feature_sets:
-        raise ValueError("refusing to write an empty feature file")
+    on a set without a label.  ``feature_sets`` is a non-empty sequence
+    of one r_max, as featurize builds it."""
     r_max = feature_sets[0].r_max
-    if any(fs.r_max != r_max for fs in feature_sets):
-        raise ValueError("mixed r_max across feature sets")
     rows = np.empty(
         (len(feature_sets), 2 + N_FEATURE_VECTORS * r_max), dtype="<f8"
     )

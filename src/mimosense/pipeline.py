@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import Activity, load_record, simulate_record, save_record, truncate_antennas
+from .channel import Activity, load_record, simulate_record, save_record
 from .errors import DataError
 from .features import (
     N_FEATURE_VECTORS,
@@ -34,7 +34,6 @@ from .features import (
 )
 from .manifest import ExperimentManifest, canonical_dict
 from .nn import (
-    ConfusionMatrix,
     LabeledDataset,
     early_late_control,
     evaluate,
@@ -205,10 +204,8 @@ def _featurize_one(job) -> list[FeatureSet]:
     load_record's DataError, which names the file."""
     path, rec_idx, t_w, als, m_keep = job
     record = load_record(path)
-    if m_keep < record.tensor.shape[2]:
-        record = truncate_antennas(record, m_keep)
     label = record.label
-    clean = interpolate_lost_frames(record.tensor, record.mask)
+    clean = interpolate_lost_frames(record.tensor[:, :, :m_keep], record.mask)
     # The windows are copies: release the record and its repaired copy
     # before the CP fits.
     del record
@@ -286,18 +283,15 @@ def _dataset_from_features(feature_sets) -> LabeledDataset:
 
 def _train_eval_features(feature_sets, manifest: ExperimentManifest) -> dict:
     ds = _dataset_from_features(feature_sets)
-    try:
-        train_part, test_part = split(ds, manifest.train)
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+    train_part, test_part = split(ds, manifest.train)
     if len(test_part) == 0:
         raise DataError(f"split of {len(ds)} windows leaves an empty test set")
     model, history = train(train_part, manifest.train)
-    cm, accuracy = evaluate(model, test_part)
+    counts, accuracy = evaluate(model, test_part)
     return {
         "model": model,
         "history": history,
-        "confusion": cm,
+        "confusion": counts,
         "accuracy": accuracy,
         "n_train": len(train_part),
         "n_test": len(test_part),
@@ -315,8 +309,8 @@ def run_train_eval(manifest: ExperimentManifest) -> dict:
     feats = _load_features(manifest)
     result = _train_eval_features(feats, manifest)
     out = report_dir(manifest)
-    cm: ConfusionMatrix = result["confusion"]
-    names = [Activity(c).name for c in range(cm.counts.shape[0])]
+    counts = result["confusion"]
+    names = [Activity(c).name for c in range(counts.shape[0])]
     write_json(
         out / "metrics.json",
         {
@@ -329,7 +323,7 @@ def run_train_eval(manifest: ExperimentManifest) -> dict:
     write_csv(
         out / "confusion.csv",
         ["true"] + names,
-        [[names[i]] + cm.counts[i].tolist() for i in range(len(names))],
+        [[names[i]] + counts[i].tolist() for i in range(len(names))],
     )
     write_csv(
         out / "loss_history.csv",

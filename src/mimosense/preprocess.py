@@ -28,17 +28,14 @@ class WindowedRecord:
 def interpolate_lost_frames(tensor: np.ndarray, mask) -> np.ndarray:
     """Linearly interpolate lost snapshots from their present neighbors.
 
-    The first and last snapshots must be present (the simulator
-    guarantees it); every (f, m) series is repaired independently.
+    ``mask`` holds one flag per snapshot, and the first and last
+    snapshots must be present: the simulator never loses them, and
+    ``channel.load_record`` refuses a sidecar whose mask would.  Every
+    (f, m) series is repaired independently, into a new C-ordered
+    array, so ``tensor`` may be a strided view.
     """
     mask = np.asarray(mask, dtype=bool)
-    t = tensor.shape[0]
-    if mask.shape != (t,):
-        raise ValueError(f"mask length {mask.shape} does not match T={t}")
-    if mask[0] or mask[-1]:
-        raise ValueError("cannot interpolate a lost boundary snapshot")
-
-    idx = np.arange(t)
+    idx = np.arange(tensor.shape[0])
     present = idx[~mask]
     lost = idx[mask]
     left = present[np.searchsorted(present, lost, side="right") - 1]

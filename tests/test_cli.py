@@ -122,8 +122,9 @@ def test_corrupt_feature_label_is_data_error(work_dir, capsys):
 
 @pytest.mark.parametrize("n_kinds", [5, 4], ids=["empty-test-set", "too-few-rows"])
 def test_degenerate_split_is_data_error(work_dir, capsys, n_kinds):
-    # One window per record: five rows leave the 85/15 split no test
-    # row, and four rows cannot cover the five classes.
+    # One window per record: the 85/15 split trains on every row of
+    # four (ceil(0.85 * 4) = 4) or five (ceil(0.85 * 5) = 5), so both
+    # fail as an empty test set.
     raw = {
         "sim": {"t": 20, "f": 3, "m": 4, "seed": 5},
         "t_w": 20,

@@ -767,19 +767,6 @@ def test_feature_bin_rejects_size_mismatch(tmp_path):
 @pytest.mark.parametrize(
     "save", [save_features_csv, save_features_bin], ids=["csv", "bin"]
 )
-def test_feature_writers_reject_empty_and_mixed_r_max(tmp_path, save):
-    path = tmp_path / "features.out"
-    with pytest.raises(ValueError, match="empty feature file"):
-        save(path, [])
-    mixed = make_feature_sets(n=2, r_max=3) + make_feature_sets(n=1, r_max=4)
-    with pytest.raises(ValueError, match="mixed r_max"):
-        save(path, mixed)
-    assert not path.exists()
-
-
-@pytest.mark.parametrize(
-    "save", [save_features_csv, save_features_bin], ids=["csv", "bin"]
-)
 def test_feature_writers_refuse_an_unlabeled_set(tmp_path, save):
     sets = make_feature_sets(n=3)
     sets[1] = replace(sets[1], label=None)

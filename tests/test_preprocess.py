@@ -62,14 +62,6 @@ def test_interpolate_present_snapshots_untouched():
     assert_array_equal(out[~mask], t[~mask])
 
 
-def test_interpolate_rejects_lost_boundary():
-    t = np.ones((4, 1, 1), dtype=complex)
-    with pytest.raises(ValueError):
-        interpolate_lost_frames(t, np.array([True, False, False, False]))
-    with pytest.raises(ValueError):
-        interpolate_lost_frames(t, np.array([False, False, False, True]))
-
-
 def test_interpolate_idempotent():
     rng = np.random.default_rng(3)
     t = random_complex(rng, (12, 2, 3))
