@@ -94,10 +94,6 @@ class CpModel:
     diagnostics: CpDiagnostics = field(default_factory=CpDiagnostics)
 
     @property
-    def rank(self) -> int:
-        return self.weights.shape[0]
-
-    @property
     def dims(self) -> tuple[int, int, int]:
         return tuple(f.shape[0] for f in self.factors)
 

@@ -105,8 +105,8 @@ def feature_names() -> list[str]:
 
 @dataclass(frozen=True)
 class CorrelationSet:
-    """The six correlation tensors of one window; every frontal slice is
-    Hermitian positive semidefinite."""
+    """The six correlation tensors of one window, fields in slot order;
+    every frontal slice is Hermitian positive semidefinite."""
 
     time_corr_per_antenna: np.ndarray  # (T_w, T_w, M)
     freq_corr_per_antenna: np.ndarray  # (F, F, M)
@@ -114,16 +114,6 @@ class CorrelationSet:
     space_corr_per_subcarrier: np.ndarray  # (M, M, F)
     freq_corr_per_snapshot: np.ndarray  # (F, F, T_w)
     space_corr_per_snapshot: np.ndarray  # (M, M, T_w)
-
-    def in_slot_order(self) -> tuple[np.ndarray, ...]:
-        return (
-            self.time_corr_per_antenna,
-            self.freq_corr_per_antenna,
-            self.time_corr_per_subcarrier,
-            self.space_corr_per_subcarrier,
-            self.freq_corr_per_snapshot,
-            self.space_corr_per_snapshot,
-        )
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,11 @@ splitting, evaluation) is implemented directly on numpy arrays; no
 autograd or ML framework is involved.
 
 :func:`train` and :func:`grad` share one forward and one backward
-function, and :func:`adam_step` applies Adam in Kingma & Ba's efficient
-order, both bias corrections folded into the step size and ε.  A
-training gathers each epoch's shuffled rows once and takes its batches
-as slices, and the forward pass keeps each hidden layer's min(z, 0),
+function, and :func:`adam_step` applies Adam in place, in Kingma & Ba's
+efficient order, both bias corrections folded into the step size and ε;
+it returns nothing.  A training gathers each epoch's shuffled rows once
+and takes its batches as slices, and the forward pass takes the ELU as
+maximum(z, expm1(min(z, 0))) and keeps each hidden layer's min(z, 0),
 from which the backward pass forms the ELU derivative.
 """
 
@@ -192,7 +193,9 @@ def _forward_pass(model: MlpModel, x: np.ndarray):
     """Returns (``min(z, 0)`` per hidden layer, post-activations per
     layer), z being the layer's pre-activation.
 
-    The ELU is ``where(z > 0, z, expm1(min(z, 0)))``.  Its derivative,
+    The ELU is ``maximum(z, expm1(min(z, 0)))``: for z > 0 the second
+    operand is 0, and for z ≤ 0 it is at least z, so ``maximum`` returns
+    the ELU's value exactly.  Its derivative,
     ``where(z > 0, 1, exp(min(z, 0)))``, is ``exp(min(z, 0))`` exactly,
     since exp(0) is 1; :func:`_backward_pass` forms it from the kept
     ``min(z, 0)``.  The last post-activation holds the class
@@ -207,7 +210,7 @@ def _forward_pass(model: MlpModel, x: np.ndarray):
         else:
             neg = np.minimum(z, 0.0)
             negs.append(neg)
-            h = np.where(z > 0.0, z, np.expm1(neg))
+            h = np.maximum(z, np.expm1(neg))
         acts.append(h)
     return negs, acts
 
@@ -217,10 +220,6 @@ def forward(model: MlpModel, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     batch = x[None, :] if single else x
-    if batch.shape[1] != model.layer_dims[0]:
-        raise ValueError(
-            f"input width {batch.shape[1]} != model input {model.layer_dims[0]}"
-        )
     probs = _forward_pass(model, batch)[1][-1]
     return probs[0] if single else probs
 
@@ -270,12 +269,10 @@ def _backward_pass(model: MlpModel, negs, acts, c: np.ndarray, out) -> None:
             delta = (delta @ model.weights[layer].T) * np.exp(negs[layer - 1])
 
 
-def adam_step(
-    model: MlpModel, g: np.ndarray, state: AdamState
-) -> tuple[MlpModel, AdamState]:
+def adam_step(model: MlpModel, g: np.ndarray, state: AdamState) -> None:
     """One bias-corrected Adam update of ``model.params`` and the moments
     in ``state``, in place, from the gradient ``g`` in ``params`` layout,
-    which is left unchanged; returns ``(model, state)``.
+    which is left unchanged; returns nothing.
 
     The moments follow m ← β1·m + (1−β1)·g and v ← β2·v + (1−β2)·g².
     The update takes Kingma & Ba's (2015, §2) efficient order, which
@@ -305,7 +302,6 @@ def adam_step(
     np.multiply(m, step_size, out=a)
     a /= b
     model.params -= a
-    return model, state
 
 
 def split(

@@ -330,7 +330,7 @@ def run_train_eval(manifest: ExperimentManifest) -> dict:
         ["epoch", "loss"],
         list(enumerate(result["history"])),
     )
-    save_model(out / "model.ckpt", result["model"], manifest.train)
+    save_model(out / "model.ckpt", result.pop("model"), manifest.train)
     logger.info(
         "train/eval accuracy %.4f (%d train / %d test) -> %s",
         result["accuracy"],

@@ -12,6 +12,9 @@ Tensor layout: magic ``MMT3``, one element-kind byte (always 1,
 complex128: records are complex channel tensors), three little-endian
 u64 dims, then the raw little-endian IEEE-754 payload in linearization
 order (first index fastest; entries interleaved re, im).
+``save_tensor`` writes what it is given; ``load_tensor``, where a
+record enters the program, checks the magic, the kind byte, the
+payload length and that every entry is finite.
 """
 
 from __future__ import annotations
@@ -88,15 +91,9 @@ def read_json(path):
 
 
 def save_tensor(path, tensor) -> None:
-    t = np.asarray(tensor)
-    if t.ndim != 3:
-        raise ValueError(f"expected a third-order tensor, got ndim={t.ndim}")
-    if not np.iscomplexobj(t):
-        raise ValueError(f"expected a complex tensor, got dtype {t.dtype}")
-    if not np.isfinite(t).all():
-        raise ValueError("refusing to write non-finite tensor entries")
+    t = np.asarray(tensor, dtype="<c16")
     header = _HEADER.pack(MAGIC, _KIND_COMPLEX, *t.shape)
-    payload = np.asarray(t, dtype="<c16").ravel(order="F").tobytes()
+    payload = t.ravel(order="F").tobytes()
     with atomic_write(path) as fh:
         fh.write(header)
         fh.write(payload)

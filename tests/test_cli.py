@@ -120,7 +120,7 @@ def test_corrupt_feature_label_is_data_error(work_dir, capsys):
     assert "labels must be activity indices" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("n_kinds", [5, 4], ids=["empty-test-set", "too-few-rows"])
+@pytest.mark.parametrize("n_kinds", [5, 4], ids=["five-activities", "four-activities"])
 def test_degenerate_split_is_data_error(work_dir, capsys, n_kinds):
     # One window per record: the 85/15 split trains on every row of
     # four (ceil(0.85 * 4) = 4) or five (ceil(0.85 * 5) = 5), so both

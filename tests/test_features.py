@@ -109,7 +109,7 @@ def test_corr_per_subcarrier_matches_loop_oracle():
 def test_correlation_slices_exactly_hermitian():
     rng = np.random.default_rng(3)
     g = random_complex(rng, (4, 3, 5))
-    for c in correlation_set(g).in_slot_order():
+    for c in vars(correlation_set(g)).values():
         flipped = np.conj(np.transpose(c, (1, 0, 2)))
         assert_array_equal(c, flipped)
 
@@ -139,7 +139,7 @@ def test_corr_per_time_matches_loop_oracle():
 def test_correlation_slices_psd():
     rng = np.random.default_rng(5)
     g = random_complex(rng, (5, 4, 3))
-    for c in correlation_set(g).in_slot_order():
+    for c in vars(correlation_set(g)).values():
         for s in range(c.shape[2]):
             sl = c[:, :, s]
             eigs = np.linalg.eigvalsh(sl)
@@ -341,7 +341,7 @@ def test_family_tensors_match_reference_on_correlations():
         g = random_complex(rng, shape)
         g[:, :, 0] = 0.0  # a dead antenna: zero slices per antenna
         g[2] = 0.0  # a dead snapshot: zero slices per snapshot
-        for c in correlation_set(phase_reference(g)).in_slot_order():
+        for c in vars(correlation_set(phase_reference(g))).values():
             assert_family_matches_reference(c)
 
 
@@ -480,7 +480,7 @@ def test_phase_unwrap_fallback_stays_within_the_slot_tensors():
     # slot tensors (about 20.6 MB), as on simulated windows.
     g = random_complex(np.random.default_rng(0), (100, 16, 32))
     als = AlsConfig(rank=10, max_iters=16, rel_tol=1e-6, seed=1)
-    families = correlation_set(phase_reference(g)).in_slot_order()
+    families = vars(correlation_set(phase_reference(g))).values()
     assert any(np.abs(np.diff(np.angle(c), axis=1)).max() >= np.pi for c in families)
     del families
     distinct = {id(t): t.nbytes for t in tuple(real_feature_tensors(g))}
@@ -503,7 +503,7 @@ def test_correlation_slots_are_fortran_ordered(shape):
     # phase slots' per-slice norms are summed in memory order, so their
     # last bits depend on it, and cp_als reads its unfolding as a view.
     g = random_complex(np.random.default_rng(1), shape)
-    for c in correlation_set(phase_reference(g)).in_slot_order():
+    for c in vars(correlation_set(phase_reference(g))).values():
         assert c.flags.f_contiguous, c.shape
     for slot, tensor in zip(features._FIT_SLOTS, real_feature_tensors(g)):
         if slot > 0:

@@ -7,8 +7,10 @@ stage.
 
 import csv
 import hashlib
+import importlib.util
 import json
 import math
+import sys
 import time
 from dataclasses import replace as dc_replace
 from pathlib import Path
@@ -332,6 +334,10 @@ def test_featurize_refuses_a_killed_simulate(work_dir):
 def test_train_eval_reports(man, features):
     result = run_train_eval(man)
     out = report_dir(man)
+    # The trained model goes to model.ckpt, not into the result.
+    assert set(result) == {
+        "report_dir", "accuracy", "history", "confusion", "n_train", "n_test"
+    }
     assert result["report_dir"] == out
     assert 0.0 <= result["accuracy"] <= 1.0
     assert result["n_train"] == 17 and result["n_test"] == 3
@@ -528,6 +534,39 @@ def test_stages_train_and_step_through_module_globals(work_dir, monkeypatch):
     assert steps_per_training == [epochs * math.ceil(r / batch) for r in rows]
     assert steps[0] == sum(steps_per_training)
 
+
+
+def _load_read_only(path: Path):
+    spec = importlib.util.spec_from_file_location(f"bench_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_wraps_and_counts_hold(tmp_path, monkeypatch):
+    # perfbench/ wraps package names with getattr and pins a traced
+    # round's work counts against the manifest.  A change that removes a
+    # wrapped name or moves a count must fail here, in tier 1, and not
+    # only in the benchmark's own run.  The benchmark's files are loaded
+    # without writing their bytecode beside them.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    spans = _load_read_only(bench / "spans.py")
+    checks = _load_read_only(bench / "checks.py")
+    man = manifest_from_dict(tiny_dict(tmp_path))
+    tracer = spans.Tracer()
+    spans.instrument(tracer)  # AttributeError if a wrapped name is gone
+    try:
+        run_simulate(man)
+        stages = (run_featurize, run_train_eval, run_sweep, run_control)
+        for stage, fn in zip(spans.STAGES, stages):
+            with tracer.span(f"pipeline.{stage}"):
+                fn(man)
+    finally:
+        tracer.restore()
+    metrics = spans.layer_metrics(tracer.totals(), tracer.counters, 0.0, (0, 0))
+    want = checks.expected_counts(man)
+    assert {name: metrics[name] for name in want} == want
 
 # ------------------------------------------------------- content addressing
 

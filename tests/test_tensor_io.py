@@ -35,14 +35,6 @@ from mimosense.tensor_io import (
 )
 
 
-def test_save_refuses_a_real_tensor(tmp_path):
-    # Records are complex; the format has no real kind.
-    path = tmp_path / "t.mmt3"
-    with pytest.raises(ValueError, match="complex"):
-        save_tensor(path, np.ones((3, 4, 5)))
-    assert not path.exists()
-
-
 def test_load_refuses_the_real_kind(tmp_path):
     # Kind byte 0 once meant real64: a file with it is of an unknown kind.
     path = tmp_path / "t.mmt3"
@@ -118,13 +110,6 @@ def test_unknown_kind_byte(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(DataError):
         load_tensor(path)
-
-
-def test_save_rejects_non_finite(tmp_path):
-    t = np.zeros((2, 2, 2), dtype=complex)
-    t[0, 0, 0] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        save_tensor(tmp_path / "t.mmt3", t)
 
 
 def test_load_rejects_non_finite_payload(tmp_path):
