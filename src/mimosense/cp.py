@@ -176,9 +176,48 @@ def _partial_mode2(x3: np.ndarray, b: np.ndarray, dims) -> np.ndarray:
 def _partial_mode1(x1: np.ndarray, a: np.ndarray, dims) -> np.ndarray:
     """``Q = X ×₁ Aᵀ`` from ``x1``, the (I, KJ) view
     ``x3.reshape(K * J, I).T`` of the mode-3 unfolding, laid out
-    (R, K, J): ``q[r, k, j] = Σ_i X[i, j, k] A[i, r]``."""
+    (R, K, J): ``q[r, k, j] = Σ_i X[i, j, k] A[i, r]``.  One wide GEMM,
+    taken only for tensors whose slices are neither symmetric nor skew
+    (see ``_slice_symmetry``): it contracts the unfolding's contiguous
+    axis, and on the large slot tensors measured slower than
+    ``_partial_mode2``'s batched GEMM, which contracts its middle axis."""
     _, j, k = dims
     return (a.T @ x1).reshape(a.shape[1], k, j)
+
+
+# The skew test negates this many bytes of slices at a time, and at
+# least one slice, so its float temporary stays small on large tensors.
+_SKEW_CHUNK_BYTES = 1 << 18
+
+
+def _slice_symmetry(x3: np.ndarray, dims) -> int:
+    """+1 if every frontal slice X[:, :, k] of the (I, J, K) tensor whose
+    mode-3 unfolding is ``x3`` is exactly symmetric, -1 if every one is
+    exactly skew (X[j, i, k] = -X[i, j, k]), else 0.
+
+    Then ``X ×₁ Aᵀ = ±(X ×₂ Aᵀ)`` term by term, which lets the sweep
+    form Q with ``_partial_mode2``.  A non-square tensor is turned away
+    at once.  A skew slice has a zero diagonal, so the diagonal picks
+    the one test worth a pass: symmetry when it holds a non-zero entry,
+    skewness when it is all zero (a symmetric stack with a zero diagonal
+    reads 0, which only costs the faster kernel).  Neither test makes a
+    full-size float temporary: the symmetric one compares into a bool
+    mask, the skew one negates a chunk of slices at a time."""
+    i, j, k = dims
+    if i != j:
+        return 0
+    v = x3.reshape(k, j, i)  # v[k] is slice k transposed
+    vt = v.transpose(0, 2, 1)
+    # x3[:, :: i + 1] is every slice's diagonal.  np.count_nonzero has a
+    # lower call cost than .all(), and small fits pay this on every call.
+    if np.count_nonzero(x3[:, :: i + 1]):
+        return 1 if np.count_nonzero(v == vt) == v.size else 0
+    step = max(1, _SKEW_CHUNK_BYTES // v[0].nbytes)
+    for s in range(0, k, step):
+        part = v[s : s + step]
+        if np.count_nonzero(-part == vt[s : s + step]) != part.size:
+            return 0
+    return -1
 
 
 def _contract_middle(node: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -266,8 +305,15 @@ def cp_als(tensor, config: AlsConfig) -> CpModel:
     serves, so a fit that stops after either sweep wasted no
     contraction; P is dropped before N is formed, so the two are never
     held together.  P and N are batched GEMMs over slabs of the
-    unfolding, Q one wide GEMM, and no sweep forms a Khatri-Rao product
-    (Hayashi, Ballard, Jiang & Tobia 2018).
+    unfolding, and no sweep forms a Khatri-Rao product (Hayashi,
+    Ballard, Jiang & Tobia 2018).  Q is one wide GEMM for a general
+    tensor.  When every frontal slice is exactly symmetric or exactly
+    skew, as the Gram-derived slot tensors of the features are,
+    X ×₁ Aᵀ equals X ×₂ (±A)ᵀ term by term, so Q is formed by N's
+    batched kernel, which measured faster on the large slot tensors and
+    alike on small ones; ``_slice_symmetry`` finds this out once per
+    fit, in about one pass over the tensor.  Each term of Q is the same
+    product either way, and only the order of its sum can differ.
 
     The sweeps keep each solution as solved and form one Gram matrix per
     update, three per sweep.  ALS updates are scale-equivariant (Kolda &
@@ -333,6 +379,7 @@ def cp_als(tensor, config: AlsConfig) -> CpModel:
         )
 
     x1 = x3.reshape(dims[2] * dims[1], dims[0]).T
+    sign = _slice_symmetry(x3, dims)
 
     norm_sq = norm_t * norm_t
     # grams[j] is factors[j].T @ factors[j], refreshed whenever factor j
@@ -361,8 +408,13 @@ def cp_als(tensor, config: AlsConfig) -> CpModel:
         if first:  # P predates a zeroed C column, but a's is zero too
             mttkrp = _contract_last(p, a)
             del p  # spent: drop it before N is formed
-        else:
-            q = _partial_mode1(x1, factors[0], dims)
+        else:  # Q = X ×₁ Aᵀ, or X ×₂ (±A)ᵀ; negation is exact
+            if sign > 0:
+                q = _partial_mode2(x3, factors[0], dims)
+            elif sign < 0:
+                q = _partial_mode2(x3, -factors[0], dims)
+            else:
+                q = _partial_mode1(x1, factors[0], dims)
             mttkrp = _contract_middle(q, factors[2])
         b = _solve_factor(grams[0] * grams[2], mttkrp)
         factors[1], grams[1] = b, b.T @ b

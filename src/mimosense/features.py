@@ -18,6 +18,17 @@ In each family the ``amp`` and ``norm_amp`` slots hold the same tensor
 (‖|C|‖_F = ‖C‖_F, so |C| / ‖|C|‖ = |C / ‖C‖|): it is built once and
 serves both slots, whose two fits differ only in the ALS seed.
 
+Each frontal slice of a correlation tensor is a Gram matrix, made
+exactly Hermitian by ``_hermitize``, so its five real views inherit an
+exact structure slice by slice: ``amp``, ``norm_amp`` and ``re`` are
+symmetric (|c̄| = |c|, Re c̄ = Re c, and each slice is scaled by one
+norm), ``im`` is skew (Im c̄ = -Im c), and ``phase`` is skew (the
+angle of c̄ is minus that of c) as long as its unwrap adds no 2π step,
+as on simulated LOS desk windows (some NLOS windows' phase slots add
+one).  ``cp_als`` detects this and forms one of its contractions with a
+faster kernel.  Slot 0, the window's own amplitude, has no such
+structure.
+
 Every real tensor is CP-decomposed and its descending weight vector
 (zero-padded to the requested rank) becomes one feature vector; the
 classifier consumes their concatenation with each vector's largest

@@ -264,29 +264,48 @@ def rel_err(got, want):
     return np.linalg.norm(got - want) / np.linalg.norm(want)
 
 
+def sliced(t, sign):
+    """``t`` with each frontal slice made exactly symmetric (sign 1) or
+    skew (sign -1): fl(a + b) = fl(b + a) and fl(a - b) = -fl(b - a)."""
+    return t + sign * t.transpose(1, 0, 2)
+
+
 @pytest.mark.parametrize(
-    "dims",
+    "dims,sign",
     [
-        (100, 16, 32),  # window amplitude, (T_w, F, M)
-        (100, 100, 32),  # time correlation per antenna, (T_w, T_w, M)
-        (100, 100, 16),  # time correlation per subcarrier, (T_w, T_w, F)
-        (16, 16, 32),  # frequency correlation per antenna, (F, F, M)
-        (32, 32, 100),  # space correlation per snapshot, (M, M, T_w)
+        ((100, 16, 32), 0),  # window amplitude, (T_w, F, M)
+        ((100, 100, 32), 0),  # time correlation per antenna, (T_w, T_w, M)
+        ((100, 100, 16), 0),  # time correlation per subcarrier, (T_w, T_w, F)
+        ((16, 16, 32), 0),  # frequency correlation per antenna, (F, F, M)
+        ((32, 32, 100), 0),  # space correlation per snapshot, (M, M, T_w)
+        ((100, 100, 32), 1),  # its amp, norm_amp and re slots
+        ((100, 100, 32), -1),  # its im slot, and phase when it stays skew
+        ((16, 16, 32), 1),
+        ((32, 32, 100), -1),
     ],
+    ids=[f"dims{i}" for i in range(5)]
+    + ["symmetric1", "skew1", "symmetric3", "skew4"],
 )
-def test_tree_mttkrps_match_unfolding_oracle(dims):
+def test_tree_mttkrps_match_unfolding_oracle(dims, sign):
     rng = np.random.default_rng(sum(dims))
     t = rng.standard_normal(dims)
+    if sign:
+        t = sliced(t, sign)
     a_raw, b, c = (rng.standard_normal((d, 10)) for d in dims)
     a_raw[:, 3] = 0.0  # a dead mode-1 solution column
     dead = np.arange(10) == 3
     x3 = cp._unfold3(t)
     x1 = x3.reshape(dims[2] * dims[1], dims[0]).T
+    assert cp._slice_symmetry(x3, dims) == sign
 
-    # The three first-level nodes, each X contracted with one factor.
+    # The three first-level nodes, each X contracted with one factor; Q
+    # by N's kernel with ±A when the slices are symmetric or skew.
     p = cp._partial_mode3(x3, c, dims)
     n = cp._partial_mode2(x3, b, dims)
-    q = cp._partial_mode1(x1, a_raw, dims)
+    if sign:
+        q = cp._partial_mode2(x3, sign * a_raw, dims)
+    else:
+        q = cp._partial_mode1(x1, a_raw, dims)
     assert rel_err(p, np.einsum("ijk,kr->rji", t, c)) <= 1e-12
     assert rel_err(n, np.einsum("ijk,jr->rki", t, b)) <= 1e-12
     assert rel_err(q, np.einsum("ijk,ir->rkj", t, a_raw)) <= 1e-12
@@ -316,10 +335,20 @@ def test_tree_mttkrps_match_unfolding_oracle(dims):
     assert rel_err(cp._contract_last(q, b), want3) <= 1e-12
 
 
-@pytest.mark.parametrize("max_iters,contractions", [(16, 24), (1, 2), (5, 8)])
-def test_sweep_pairs_share_three_contractions(monkeypatch, max_iters, contractions):
+@pytest.mark.parametrize(
+    "max_iters,contractions,sign",
+    [
+        pytest.param(i, n, sign, id=f"{i}-{n}{suffix}")
+        for sign, suffix in [(0, ""), (1, "-symmetric"), (-1, "-skew")]
+        for i, n in [(16, 24), (1, 2), (5, 8)]
+    ],
+)
+def test_sweep_pairs_share_three_contractions(
+    monkeypatch, max_iters, contractions, sign
+):
     # A pair of sweeps forms P, N and Q once each; a fit cut after the
-    # first sweep of a pair has formed P and N.
+    # first sweep of a pair has formed P and N.  Symmetric or skew
+    # slices form Q with N's kernel, never with _partial_mode1.
     calls = dict.fromkeys(("_partial_mode1", "_partial_mode2", "_partial_mode3"), 0)
     for name in calls:
         real = getattr(cp, name)
@@ -329,17 +358,73 @@ def test_sweep_pairs_share_three_contractions(monkeypatch, max_iters, contractio
             return _real(*args)
 
         monkeypatch.setattr(cp, name, counted)
-    t = np.random.default_rng(11).standard_normal((6, 7, 8))
+    rng = np.random.default_rng(11)
+    t = sliced(rng.standard_normal((6, 6, 8)), sign) if sign else (
+        rng.standard_normal((6, 7, 8))
+    )
     model = cp_als(t, AlsConfig(rank=4, max_iters=max_iters, rel_tol=1e-300))
     assert not model.diagnostics.converged
     assert model.diagnostics.n_sweeps == max_iters
     assert sum(calls.values()) == contractions
     pairs, odd = divmod(max_iters, 2)
+    q_by_mode2 = pairs if sign else 0
     assert calls == {
-        "_partial_mode1": pairs,
-        "_partial_mode2": pairs + odd,
+        "_partial_mode1": pairs - q_by_mode2,
+        "_partial_mode2": pairs + odd + q_by_mode2,
         "_partial_mode3": pairs + odd,
     }
+
+
+def test_slice_symmetry_reads_each_structure():
+    rng = np.random.default_rng(19)
+    t = rng.standard_normal((5, 5, 7))
+
+    def symmetry(x):
+        return cp._slice_symmetry(cp._unfold3(x), x.shape)
+
+    assert symmetry(t) == 0
+    for sign in (1, -1):
+        s = sliced(t, sign)
+        assert symmetry(s) == sign
+        assert symmetry(np.asfortranarray(s)) == sign
+        broken = s.copy()
+        broken[1, 3, 6] = np.nextafter(broken[1, 3, 6], np.inf)
+        assert symmetry(broken) == 0
+    # Zero entries read as skew whatever their signs.
+    signed_zeros = sliced(t, -1)
+    signed_zeros[0, 2, :], signed_zeros[2, 0, :] = 0.0, 0.0
+    signed_zeros[1, 4, :] = -0.0
+    signed_zeros[4, 1, :] = -0.0
+    assert symmetry(signed_zeros) == -1
+    for dims in [(5, 6, 7), (6, 5, 5), (1, 2, 1)]:
+        assert symmetry(np.ones(dims)) == 0
+    # The skew test walks chunks of slices: a break in the last one.
+    big = sliced(rng.standard_normal((40, 40, 50)), -1)
+    assert cp._SKEW_CHUNK_BYTES < big.nbytes
+    assert symmetry(big) == -1
+    big[3, 5, -1] += 1.0
+    assert symmetry(big) == 0
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["symmetric", "skew"])
+def test_symmetric_path_fits_the_general_paths_model(monkeypatch, sign):
+    # The Q node by N's kernel sums the same products as the wide GEMM;
+    # only the order of each sum may differ.  With numpy's OpenBLAS the
+    # two paths give bit-equal models, which the benchmark's byte-
+    # identical feature files rely on; the bound here allows BLAS builds
+    # whose two kernels order the sums differently.
+    t = sliced(np.random.default_rng(23).standard_normal((20, 20, 12)), sign)
+    cfg = AlsConfig(rank=5, max_iters=16, rel_tol=1e-300, seed=2)
+    got = cp_als(t, cfg)
+    monkeypatch.setattr(cp, "_slice_symmetry", lambda x3, dims: 0)
+    want = cp_als(t, cfg)
+    assert got.diagnostics.n_sweeps == want.diagnostics.n_sweeps == 16
+    assert_allclose(got.weights, want.weights, rtol=1e-12, atol=0)
+    for f_got, f_want in zip(got.factors, want.factors):
+        assert_allclose(f_got, f_want, rtol=0, atol=1e-12)
+    assert_allclose(
+        got.diagnostics.fit_errors, want.diagnostics.fit_errors, rtol=0, atol=1e-12
+    )
 
 
 @pytest.mark.parametrize("order", ["C", "F"])

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
+import mimosense.cp as cp
 import mimosense.features as features
 from mimosense.channel import Activity, SimConfig, simulate_record
 from mimosense.cp import AlsConfig
@@ -473,6 +474,28 @@ def test_extract_features_streams_the_slot_tensors():
     assert peak < 0.65 * slot_bytes, (peak, slot_bytes)
 
 
+@pytest.mark.parametrize("activity", list(Activity), ids=lambda a: a.name)
+def test_desk_slot_tensors_have_symmetric_or_skew_slices(activity):
+    # cp_als forms its Q node with the faster mode-2 kernel only when
+    # every frontal slice is exactly symmetric or skew.  The Hermitian
+    # correlations make amp, norm_amp and re symmetric and im skew; the
+    # phase is skew while its unwrap adds no 2π step, as on these LOS
+    # desk windows (some NLOS windows add one, and fall back to the
+    # general kernel).  A change to the slot-tensor builds that breaks
+    # the structure must fail here, not only lose the speed-up.
+    record = simulate_record(
+        SimConfig(t=100, f=16, m=32, snr_db=20.0, scenario="LOS", seed=1), activity
+    )
+    want = {"amp": 1, "norm_amp": 1, "re": 1, "phase": -1, "im": -1}
+    names = feature_names()
+    for slot, tensor in zip(
+        features._FIT_SLOTS, real_feature_tensors(record.tensor), strict=True
+    ):
+        sign = cp._slice_symmetry(cp._unfold3(tensor), tensor.shape)
+        expected = 0 if slot == 0 else want[names[slot].split(".")[1]]
+        assert sign == expected, (names[slot], tensor.shape)
+
+
 def test_phase_unwrap_fallback_stays_within_the_slot_tensors():
     # On complex noise, phase steps reach π, so _unwrap calls np.unwrap.
     # Run on a chunk of slices at a time, it must keep extract_features'
@@ -515,11 +538,14 @@ def test_correlation_slots_are_fortran_ordered(shape):
 # the first sweep's mode-1 and mode-2 MTTKRPs, N = X x2 B for its mode-3
 # and the next sweep's mode-1 MTTKRP, and Q = X x1 A for the second
 # sweep's mode-2 and mode-3 MTTKRPs, never through a Khatri-Rao
-# product), with raw factors through the sweeps, normalized once after
-# the last, the ridge retry taken in the Jacobi-scaled frame, each
-# family's norm_amp slot fitting the amp slot's tensor, every model
-# returned as fitted, and every correlation tensor in Fortran order,
-# which sets the summation order of the phase slots' norms.
+# product; Q is one wide GEMM on slot 0 and, on the slot tensors whose
+# slices are all symmetric or all skew, X x2 (±A) by N's batched GEMM,
+# the same products summed in the same order), with raw factors through
+# the sweeps, normalized once after the last, the ridge retry taken in
+# the Jacobi-scaled frame, each family's norm_amp slot fitting the amp
+# slot's tensor, every model returned as fitted, and every correlation
+# tensor in Fortran order, which sets the summation order of the phase
+# slots' norms.
 # Speed-ups to feature extraction must leave the features bit-identical:
 # the stored feature files, the trained model and every reported
 # accuracy derive from these bytes.  A change that moves a hash changes

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mimosense import nn, pipeline
+from mimosense import pipeline
 from mimosense.channel import (
     Activity,
     SimulatedRecord,
@@ -482,60 +482,6 @@ def test_control_single_record_activity_is_data_error(work_dir):
 # ---------------------------------------------------------- trace hooks
 
 
-def test_stages_train_and_step_through_module_globals(work_dir, monkeypatch):
-    # The benchmark's tracer counts trainings and Adam steps by wrapping
-    # nn.train (and pipeline's imported train) and nn.adam_step by name,
-    # and checks the counts against the manifest: one training per
-    # train-eval call, per sweep value and per control activity, and
-    # epochs * ceil(rows / batch) steps per training.  A stage that
-    # reached them another way would break those counts.
-    raw = tiny_dict(
-        work_dir,
-        sim={"t": 40, "f": 3, "m": 4, "seed": 28},
-        t_w=10,
-        experiments_per_activity={
-            "STATIC": 3, "PERIODIC": 2, "RANDOM": 2, "ROTATE_SHIFT": 2, "ROTATE": 4
-        },
-        train={"epochs": 2, "batch_size": 7, "seed": 0},
-    )
-    man = manifest_from_dict(raw)
-    run_simulate(man)
-    run_featurize(man)
-
-    steps_per_training = []
-    steps = [0]
-    real_train, real_step = nn.train, nn.adam_step
-
-    def counted_train(ds, cfg):
-        before = steps[0]
-        result = real_train(ds, cfg)
-        steps_per_training.append(steps[0] - before)
-        return result
-
-    def counted_step(model, g, state):
-        steps[0] += 1
-        return real_step(model, g, state)
-
-    for module in (pipeline, nn):
-        monkeypatch.setattr(module, "train", counted_train)
-    monkeypatch.setattr(nn, "adam_step", counted_step)
-    run_train_eval(man)
-    run_sweep(man)
-    run_control(man)
-
-    k = man.windows_per_record
-    per_activity = [n for _, n in man.record_counts()]
-    epochs, batch = man.train.epochs, man.train.batch_size
-    n_train = math.ceil(man.train.split_fraction * sum(per_activity) * k)
-    # Train-eval and each sweep value train on the same split; the
-    # control trains once per activity on all but its held-out records.
-    rows = [n_train] * (1 + len(man.antenna_sweep))
-    rows += [min(n - 1, math.ceil(0.8 * n)) * k for n in per_activity]
-    assert steps_per_training == [epochs * math.ceil(r / batch) for r in rows]
-    assert steps[0] == sum(steps_per_training)
-
-
-
 def _load_read_only(path: Path):
     spec = importlib.util.spec_from_file_location(f"bench_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
@@ -548,12 +494,23 @@ def test_benchmark_wraps_and_counts_hold(tmp_path, monkeypatch):
     # round's work counts against the manifest.  A change that removes a
     # wrapped name or moves a count must fail here, in tier 1, and not
     # only in the benchmark's own run.  The benchmark's files are loaded
-    # without writing their bytecode beside them.
+    # without writing their bytecode beside them.  Uneven record counts
+    # and a batch that divides no training set make every training's
+    # step count differ from a wrong rule's.
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     bench = Path(__file__).resolve().parents[1] / "perfbench"
     spans = _load_read_only(bench / "spans.py")
     checks = _load_read_only(bench / "checks.py")
-    man = manifest_from_dict(tiny_dict(tmp_path))
+    raw = tiny_dict(
+        tmp_path,
+        sim={"t": 40, "f": 3, "m": 4, "seed": 28},
+        t_w=10,
+        experiments_per_activity={
+            "STATIC": 3, "PERIODIC": 2, "RANDOM": 2, "ROTATE_SHIFT": 2, "ROTATE": 4
+        },
+        train={"epochs": 2, "batch_size": 7, "seed": 0},
+    )
+    man = manifest_from_dict(raw)
     tracer = spans.Tracer()
     spans.instrument(tracer)  # AttributeError if a wrapped name is gone
     try:
@@ -567,6 +524,24 @@ def test_benchmark_wraps_and_counts_hold(tmp_path, monkeypatch):
     metrics = spans.layer_metrics(tracer.totals(), tracer.counters, 0.0, (0, 0))
     want = checks.expected_counts(man)
     assert {name: metrics[name] for name in want} == want
+
+    # Each training's own Adam steps, the spans nested in it, in call
+    # order: epochs * ceil(rows / batch).  Train-eval and each sweep
+    # value train on the same split; the control trains once per
+    # activity on all but its held-out records.
+    ids = np.frombuffer(tracer.name_id, dtype=np.int32)
+    parent = np.frombuffer(tracer.parent, dtype=np.int32)
+    steps = parent[ids == tracer.names.index("nn.adam")]
+    trainings = np.flatnonzero(ids == tracer.names.index("nn.train"))
+    steps_per_training = [int(np.count_nonzero(steps == t)) for t in trainings]
+    k = man.windows_per_record
+    per_activity = [n for _, n in man.record_counts()]
+    epochs, batch = man.train.epochs, man.train.batch_size
+    n_train = math.ceil(man.train.split_fraction * sum(per_activity) * k)
+    rows = [n_train] * (1 + len(man.antenna_sweep))
+    rows += [min(n - 1, math.ceil(0.8 * n)) * k for n in per_activity]
+    assert steps_per_training == [epochs * math.ceil(r / batch) for r in rows]
+    assert sum(steps_per_training) == metrics["nn.steps"]
 
 # ------------------------------------------------------- content addressing
 
